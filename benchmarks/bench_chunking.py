@@ -6,9 +6,9 @@ observed ``exec_s`` back into the model, so a heterogeneous stream is
 split into roughly equal-*cost* plans instead of equal-count ones, and
 the :class:`~repro.executors.ParallelExecutor` dispatches the plans
 longest-predicted-first.  The legacy static split pins one worker under
-a 32-model chunk of the most expensive signature (e.g. ``chernoff`` on
-the FTTH profile costs ~50x a ``dominant-pole`` model) while the cheap
-chunks drain early and the pool idles.
+a 32-model chunk of the most expensive signature (``erlang-sum`` costs
+~7x a ``dominant-pole`` model) while the cheap chunks drain early and
+the pool idles.
 
 Acceptance criteria asserted here (ISSUE 10):
 
@@ -42,8 +42,9 @@ PROBABILITY = 0.99999
 WORKERS = 4
 
 #: The heterogeneous stream: five factor signatures whose measured
-#: per-model costs span ~50x (chernoff/FTTH ~10 ms, dominant-pole
-#: ~0.2 ms), deliberately imbalanced group sizes.
+#: per-model costs span ~7x (erlang-sum ~2.7 ms, chernoff/FTTH ~0.6 ms,
+#: dominant-pole ~0.4 ms on a 2-CPU x86-64 virtual machine),
+#: deliberately imbalanced group sizes.
 GROUPS = (
     ("ftth", "chernoff", 40),
     ("paper-dsl", "erlang-sum", 32),

@@ -52,15 +52,18 @@ remaining axis — the *transform* index — as well:
   without a joint evaluator it degrades gracefully to one array call
   per transform;
 * :func:`quantiles_from_mgfs` runs all per-transform quantile searches
-  in *lockstep*: each search executes the very same bracketing/brentq
-  body as :func:`quantile_from_mgf` (in its own worker thread, used
-  purely as a control-flow device), but every round of outstanding tail
-  evaluations — one point per still-active search — is served by a
-  single stacked array evaluation.  Because the stacked arithmetic is
-  bit-identical per row to the per-transform path (same elementwise
-  kernels, same reduction lengths, same weights), every search follows
-  the exact trajectory of its scalar counterpart and the returned
-  quantiles are the very same floats.
+  in *lockstep*.  The search of :func:`quantile_from_mgf` is a
+  generator (:func:`_quantile_search`: bracket doubling, then
+  :func:`_brentq_steps`, a port of scipy's ``brentq`` that yields each
+  probe point and receives its tail value), so one plain loop in the
+  calling thread can hold every search at its next probe: each round
+  serves the outstanding tail points — one per still-active search —
+  with a single stacked array evaluation and resumes every search.
+  Because the stacked arithmetic is bit-identical per row to the
+  per-transform path (same elementwise kernels, same reduction lengths,
+  same weights), every search follows the exact trajectory of its
+  scalar counterpart and the returned quantiles are the very same
+  floats.
 
 Two properties of these kernels carry the plan/execute split of the
 serving layer (:func:`repro.core.rtt.execute_plan`,
@@ -71,9 +74,9 @@ serving layer (:func:`repro.core.rtt.execute_plan`,
   replay the exact same evaluation in any process; and
 * a transform's search trajectory is **independent of its round
   mates** — which transforms happen to share the stacked rounds (the
-  ``max_workers`` chunking here, or the plan chunking one layer up)
-  cannot change a single returned bit, which is what makes answers
-  identical for every executor and worker count.
+  plan chunking one layer up) cannot change a single returned bit,
+  which is what makes answers identical for every executor and worker
+  count.
 
 Error bounds (Abate & Whitt 1995): the discretization error is bounded
 by ``exp(-A) / (1 - exp(-A))`` (~1e-8 for the default ``A = 18.4``); the
@@ -90,12 +93,10 @@ the benchmark suite).
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ParameterError
 
@@ -300,6 +301,24 @@ def _atom_limit(mgf: Callable[[complex], complex]) -> float:
     return min(values)
 
 
+def _special_tail(
+    mgf: Callable[[complex], complex], x: float, atom_at_zero: Optional[float]
+) -> Optional[float]:
+    """``P(X > x)`` at the points no inversion is needed for, else ``None``.
+
+    Negative points give 1, ``+inf`` gives 0 (NaN clamps to 0, the
+    historical behaviour) and zero gives ``1 - atom``.
+    """
+    if x < 0.0:
+        return 1.0
+    if not math.isfinite(x):
+        return 0.0
+    if x == 0.0:
+        atom = _atom_limit(mgf) if atom_at_zero is None else float(atom_at_zero)
+        return min(1.0, max(0.0, 1.0 - atom))
+    return None
+
+
 def tail_from_mgf(
     mgf: Callable[[complex], complex],
     x: float,
@@ -330,13 +349,9 @@ def tail_from_mgf(
         Euler algorithm parameters, forwarded to
         :func:`euler_laplace_inversion`.
     """
-    if x < 0.0:
-        return 1.0
-    if not math.isfinite(x):
-        return 0.0  # tail(+inf) = 0; NaN clamps to 0 (historical behavior)
-    if x == 0.0:
-        atom = _atom_limit(mgf) if atom_at_zero is None else float(atom_at_zero)
-        return min(1.0, max(0.0, 1.0 - atom))
+    special = _special_tail(mgf, x, atom_at_zero)
+    if special is not None:
+        return special
 
     def transform(s: complex) -> complex:
         if isinstance(s, np.ndarray):
@@ -573,73 +588,22 @@ def tails_from_mgfs(
     return [out.reshape(grid.shape) for out, grid in zip(outs, grids)]
 
 
-class _LockstepAborted(RuntimeError):
-    """Internal: unwinds a lockstep worker whose round evaluation failed."""
-
-
-class _LockstepTailBatcher:
-    """Round-based rendezvous of the lockstep quantile searches.
-
-    Each active search submits exactly one pending tail point and
-    blocks; when every active search has either submitted or finished,
-    the round fires: one stacked evaluation serves all pending points
-    and every search resumes.  The worker threads are a control-flow
-    device only (scipy's ``brentq`` cannot be suspended mid-search from
-    Python) — rounds are serialized under the condition lock, so the
-    evaluation order, and therefore every float, is deterministic.
-    """
-
-    def __init__(self, evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
-        self._evaluate = evaluate
-        self._condition = threading.Condition()
-        self._active = 0
-        self._pending: Dict[int, float] = {}
-        self._served: Dict[int, float] = {}
-        self._failure: Optional[BaseException] = None
-
-    def register(self) -> None:
-        with self._condition:
-            self._active += 1
-
-    def deregister(self) -> None:
-        with self._condition:
-            self._active -= 1
-            self._fire_if_ready()
-
-    def request(self, slot: int, x: float) -> float:
-        """Submit one tail point and block until its round is served."""
-        with self._condition:
-            if self._failure is not None:
-                raise _LockstepAborted()
-            self._pending[slot] = x
-            self._fire_if_ready()
-            while slot not in self._served:
-                if self._failure is not None:
-                    raise _LockstepAborted()
-                self._condition.wait()
-            return self._served.pop(slot)
-
-    def _fire_if_ready(self) -> None:
-        # A round fires once every active worker has a pending request;
-        # workers that finished (deregistered) no longer hold it back.
-        if not self._pending or len(self._pending) < self._active:
-            return
-        slots = sorted(self._pending)
-        xs = np.asarray([self._pending[slot] for slot in slots], dtype=float)
-        self._pending.clear()
-        try:
-            values = self._evaluate(np.asarray(slots, dtype=np.intp), xs)
-        except BaseException as exc:  # propagate to every waiting worker
-            self._failure = exc
-            self._condition.notify_all()
-            return
-        for slot, value in zip(slots, values):
-            self._served[slot] = float(value)
-        self._condition.notify_all()
-
-    @property
-    def failure(self) -> Optional[BaseException]:
-        return self._failure
+def _per_transform(
+    scale_hints: Union[float, Sequence[float]],
+    atoms_at_zero: Optional[Sequence[Optional[float]]],
+    count: int,
+) -> tuple[List[float], List[Optional[float]]]:
+    """One scale hint and one (possibly unknown) atom per transform."""
+    if np.isscalar(scale_hints):
+        hints = [float(scale_hints)] * count
+    else:
+        hints = [float(h) for h in scale_hints]
+    atoms = [None] * count if atoms_at_zero is None else list(atoms_at_zero)
+    if len(hints) != count or len(atoms) != count:
+        raise ParameterError(
+            "scale_hints and atoms_at_zero must match the number of transforms"
+        )
+    return hints, atoms
 
 
 def quantiles_from_mgfs(
@@ -650,104 +614,71 @@ def quantiles_from_mgfs(
     tolerance: float = 1e-10,
     *,
     stack_eval: Optional[StackEval] = None,
-    max_workers: int = 64,
 ) -> List[float]:
     """Quantiles of many transforms through the stacked lockstep search.
 
-    Runs one :func:`quantile_from_mgf`-identical search per transform,
-    but synchronizes them so that every round of outstanding tail
-    evaluations (one point per still-active search) is served by a
-    single ``stack_eval`` array evaluation instead of one array call per
-    transform.  The search body, the tail memoization and the stacked
-    tail arithmetic are all shared with the scalar API, so the returned
-    floats are identical to per-transform :func:`quantile_from_mgf`
-    calls — the lockstep is an optimisation, not an approximation.
+    Every transform gets its own :func:`_quantile_search` generator, and
+    one plain loop advances them all: each round gathers the pending
+    tail point of every unfinished search, evaluates them with a single
+    :func:`_stacked_tail_rows` call and sends each search its value.
+    Memoised points and the special points (``x <= 0``, non-finite
+    ``x``) are served on the spot, without a round.  The search body,
+    the memoisation and the stacked tail arithmetic are those of the
+    scalar API, so the returned floats are identical to per-transform
+    :func:`quantile_from_mgf` calls, and which transforms share a round
+    changes none of them.
 
     With ``stack_eval=None`` this simply delegates to the sequential
-    :func:`quantiles_from_mgf`.  Batches larger than ``max_workers``
-    are processed in independent lockstep chunks (per-transform results
-    do not depend on which other transforms share their rounds).
+    :func:`quantiles_from_mgf`.
     """
     mgfs = list(mgfs)
-    if np.isscalar(scale_hints):
-        hints = [float(scale_hints)] * len(mgfs)
-    else:
-        hints = [float(h) for h in scale_hints]
-    if atoms_at_zero is None:
-        atoms: Sequence[Optional[float]] = [None] * len(mgfs)
-    else:
-        atoms = list(atoms_at_zero)
-    if len(hints) != len(mgfs) or len(atoms) != len(mgfs):
-        raise ParameterError(
-            "scale_hints and atoms_at_zero must match the number of transforms"
-        )
+    hints, atoms = _per_transform(scale_hints, atoms_at_zero, len(mgfs))
     if stack_eval is None:
         return quantiles_from_mgf(
             mgfs, probability, hints, atoms, tolerance=tolerance
         )
-    if max_workers < 1:
-        raise ParameterError("max_workers must be at least 1")
 
-    results: List[Optional[float]] = [None] * len(mgfs)
-    errors: List[Optional[BaseException]] = [None] * len(mgfs)
+    searches = [_quantile_search(probability, hint, tolerance) for hint in hints]
+    caches: List[Dict[float, float]] = [{} for _ in mgfs]
+    results = [0.0] * len(mgfs)
+    pending: Dict[int, float] = {}
 
-    def run_chunk(chunk: Sequence[int]) -> None:
-        batcher = _LockstepTailBatcher(
-            lambda indices, xs: _stacked_tail_rows(
-                stack_eval, indices, xs, _EULER_A, _EULER_N, _EULER_M
-            )
-        )
-
-        def worker(index: int) -> None:
-            cache: Dict[float, float] = {}
-            mgf = mgfs[index]
-            atom = atoms[index]
-
-            def tail(x: float) -> float:
+    def advance(index: int, value: Optional[float]) -> None:
+        # Send one tail value, then keep serving the search locally until
+        # it asks for a point that needs a stacked round, or returns.
+        cache = caches[index]
+        try:
+            x = searches[index].send(value)
+            while True:
                 value = cache.get(x)
                 if value is None:
-                    # Mirror tail_from_mgf's special points; only positive
-                    # finite points reach the stacked rounds.
-                    if x < 0.0:
-                        value = 1.0
-                    elif not math.isfinite(x):
-                        value = 0.0
-                    elif x == 0.0:
-                        mass = _atom_limit(mgf) if atom is None else float(atom)
-                        value = min(1.0, max(0.0, 1.0 - mass))
-                    else:
-                        value = batcher.request(index, x)
+                    value = _special_tail(mgfs[index], x, atoms[index])
+                    if value is None:
+                        pending[index] = x
+                        return
                     cache[x] = value
-                return value
+                x = searches[index].send(value)
+        except StopIteration as stop:
+            results[index] = stop.value
 
-            try:
-                results[index] = _quantile_search(
-                    tail, probability, hints[index], tolerance
-                )
-            except BaseException as exc:
-                errors[index] = exc
-            finally:
-                batcher.deregister()
-
-        threads = []
-        for index in chunk:
-            batcher.register()
-            threads.append(threading.Thread(target=worker, args=(index,)))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if batcher.failure is not None:
-            raise batcher.failure
-        for index in chunk:
-            error = errors[index]
-            if error is not None:
-                raise error
-
-    order = list(range(len(mgfs)))
-    for start in range(0, len(order), max_workers):
-        run_chunk(order[start : start + max_workers])
-    return [float(value) for value in results]  # type: ignore[arg-type]
+    for index in range(len(mgfs)):
+        advance(index, None)
+    while pending:
+        slots = sorted(pending)
+        xs = [pending[slot] for slot in slots]
+        pending.clear()
+        values = _stacked_tail_rows(
+            stack_eval,
+            np.asarray(slots, dtype=np.intp),
+            np.asarray(xs, dtype=float),
+            _EULER_A,
+            _EULER_N,
+            _EULER_M,
+        )
+        for slot, x, value in zip(slots, xs, values.tolist()):
+            caches[slot][x] = value
+            advance(slot, value)
+    return results
 
 
 def quantile_from_mgf(
@@ -782,51 +713,131 @@ def quantile_from_mgf(
         Optional known probability mass at zero, forwarded to
         :func:`tail_from_mgf`.
     """
-    cache: dict = {}
-
-    def tail(x: float) -> float:
-        value = cache.get(x)
-        if value is None:
-            value = tail_from_mgf(mgf, x, atom_at_zero=atom_at_zero)
-            cache[x] = value
-        return value
-
-    return _quantile_search(tail, probability, scale_hint, tolerance)
+    cache: Dict[float, float] = {}
+    search = _quantile_search(probability, scale_hint, tolerance)
+    value: Optional[float] = None
+    try:
+        while True:
+            x = search.send(value)
+            value = cache.get(x)
+            if value is None:
+                value = tail_from_mgf(mgf, x, atom_at_zero=atom_at_zero)
+                cache[x] = value
+    except StopIteration as stop:
+        return stop.value
 
 
 def _quantile_search(
-    tail: Callable[[float], float],
-    probability: float,
-    scale_hint: float,
-    tolerance: float,
-) -> float:
-    """The shared bracketing + ``brentq`` search over a memoized tail.
+    probability: float, scale_hint: float, tolerance: float
+) -> Generator[float, float, float]:
+    """The shared bracketing + Brent search, as a generator.
 
-    This single body backs both the scalar :func:`quantile_from_mgf`
-    and every lockstep worker of :func:`quantiles_from_mgfs`; injecting
-    the tail evaluator is what guarantees the two paths follow the very
-    same probe sequence (and therefore return the very same floats)
-    whenever their tail values agree bitwise.
+    It yields each point whose tail ``P(X > x)`` it needs, receives that
+    tail, and returns the quantile.  This single body backs both the
+    scalar :func:`quantile_from_mgf` and every search of
+    :func:`quantiles_from_mgfs`; the callers only decide how a tail is
+    computed, so the two paths follow the very same probe sequence (and
+    return the very same floats) whenever their tail values agree
+    bitwise.
     """
     if not 0.0 < probability < 1.0:
         raise ParameterError("probability must lie in (0, 1)")
     if scale_hint <= 0.0:
         raise ParameterError("scale_hint must be positive")
     target = 1.0 - probability
-    if tail(0.0) <= target:
+    if (yield 0.0) <= target:
         return 0.0
     lower = 0.0
     upper = scale_hint
     for _ in range(200):
-        if tail(upper) < target:
+        if (yield upper) < target:
             break
         lower = upper
         upper *= 2.0
     else:
         raise ParameterError("could not bracket the requested quantile")
-    return float(
-        optimize.brentq(lambda x: tail(x) - target, lower, upper, xtol=tolerance)
-    )
+    return (yield from _brentq_steps(lower, upper, tolerance, target))
+
+
+#: scipy's ``brentq`` defaults: the relative tolerance and iteration cap.
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _brentq_steps(
+    xa: float,
+    xb: float,
+    xtol: float,
+    target: float,
+    maxiter: int = _BRENT_MAXITER,
+) -> Generator[float, float, float]:
+    """Brent's root finder as a generator: yields probes, receives values.
+
+    A statement-for-statement port of scipy's ``brentq.c`` (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4) in
+    which every function evaluation is a ``yield`` of the abscissa; the
+    caller sends back ``g(x)`` and the generator returns the root of
+    ``g(x) - target`` on ``[xa, xb]``.  Probes, root and errors are those
+    of ``scipy.optimize.brentq(lambda x: g(x) - target, xa, xb, xtol)``:
+    a NaN value or equal signs at the ends raise ``ValueError``, and no
+    convergence within ``maxiter`` iterations raises ``RuntimeError``.
+    """
+
+    def shifted(x: float, received: float) -> float:
+        fx = float(received) - target
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre = shifted(xpre, (yield xpre))
+    fcur = shifted(xcur, (yield xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is taken
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                        dblk * dpre * (fblk - fpre)
+                    )
+            except ZeroDivisionError:  # inf or nan in C: bisect
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = shifted(xcur, (yield xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def quantiles_from_mgf(
@@ -847,18 +858,7 @@ def quantiles_from_mgf(
     grid.
     """
     mgfs = list(mgfs)
-    if np.isscalar(scale_hints):
-        hints = [float(scale_hints)] * len(mgfs)
-    else:
-        hints = [float(h) for h in scale_hints]
-    if atoms_at_zero is None:
-        atoms: Sequence[Optional[float]] = [None] * len(mgfs)
-    else:
-        atoms = list(atoms_at_zero)
-    if len(hints) != len(mgfs) or len(atoms) != len(mgfs):
-        raise ParameterError(
-            "scale_hints and atoms_at_zero must match the number of transforms"
-        )
+    hints, atoms = _per_transform(scale_hints, atoms_at_zero, len(mgfs))
     return [
         quantile_from_mgf(
             mgf, probability, hint, tolerance=tolerance, atom_at_zero=atom

@@ -25,14 +25,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
 
 from ..errors import ParameterError
 
-__all__ = ["ErlangTerm", "ErlangTermSum"]
+__all__ = ["ErlangTerm", "ErlangTermSum", "chernoff_quantile"]
 
 #: Coefficients with modulus below this threshold are dropped; they
 #: contribute nothing at the probability levels of interest (1e-5) but
@@ -294,33 +294,12 @@ class ErlangTermSum:
     def quantile_chernoff(self, probability: float) -> float:
         """Quantile from the Chernoff bound on the transform (eq. (36)).
 
-        ``P(X > x) <= inf_{s in (0, s_max)} e^{-s x} F(s)`` where ``s_max``
-        is the real part of the closest pole.  The reported quantile is
-        the smallest ``x`` whose bound drops below the target.
+        See :func:`chernoff_quantile`; a sum with no terms (a point mass
+        at zero) has quantile 0.
         """
-        if not 0.0 < probability < 1.0:
-            raise ParameterError("probability must lie in (0, 1)")
-        target = 1.0 - probability
-        s_max = min(t.rate.real for t in self.terms) if self.terms else 1.0
-
-        def bound(x: float) -> float:
-            if x <= 0.0:
-                return 1.0
-            result = optimize.minimize_scalar(
-                lambda s: (-s * x + math.log(max(abs(self.mgf(s)), 1e-300))),
-                bounds=(1e-12, s_max * (1.0 - 1e-9)),
-                method="bounded",
-            )
-            return math.exp(min(float(result.fun), 0.0))
-
-        upper = max(self.mean(), 1e-12)
-        for _ in range(200):
-            if bound(upper) < target:
-                break
-            upper *= 2.0
-        else:
-            raise ParameterError("could not bracket the Chernoff quantile")
-        return float(optimize.brentq(lambda x: bound(x) - target, 1e-15, upper, xtol=1e-12))
+        return chernoff_quantile(
+            self.mgf, [t.rate.real for t in self.terms], probability
+        )
 
     # ------------------------------------------------------------------
     # Products (Appendix A)
@@ -479,3 +458,38 @@ def _partial_fraction_pair(
         if abs(coeff_k) > _COEFFICIENT_FLOOR:
             terms.append(ErlangTerm(coeff_k, mu, k))
     return terms
+
+
+def chernoff_quantile(
+    mgf: Callable[[float], complex], poles: Sequence[float], probability: float
+) -> float:
+    """Quantile from the Chernoff bound of eq. (36), in one minimisation.
+
+    The bound is ``P(X > x) <= inf_s e^{-s x} |F(s)|`` over ``s`` in
+    ``(0, s_max)``, ``s_max`` just below the closest pole (the smallest
+    of ``poles``, the real parts of the transform's rates).  It drops to
+    ``t = 1 - probability`` exactly when ``log|F(s)| - s x <= log t``
+    for some ``s``, i.e. when
+
+    .. math::
+
+        x \\ge \\inf_{0 < s < s_{max}} \\frac{\\log|F(s)| - \\log t}{s},
+
+    so the reported quantile is that infimum, found by one bounded
+    minimisation over ``(1e-12, s_max)``; at its own minimiser ``s*``
+    the returned ``x`` meets ``log|F(s*)| - s* x <= log t`` by
+    construction.  A transform without poles is a point mass at zero,
+    whose quantile is 0.
+    """
+    if not 0.0 < probability < 1.0:
+        raise ParameterError("probability must lie in (0, 1)")
+    if not poles:
+        return 0.0
+    s_max = min(poles) * (1.0 - 1e-9)
+    log_target = math.log(1.0 - probability)
+    result = optimize.minimize_scalar(
+        lambda s: (math.log(max(abs(mgf(s)), 1e-300)) - log_target) / s,
+        bounds=(1e-12, s_max),
+        method="bounded",
+    )
+    return float(result.fun)

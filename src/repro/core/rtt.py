@@ -16,7 +16,9 @@ Four evaluation methods are offered (Section 3.3):
   but the expansion is ill-conditioned when the D/E_K/1 poles crowd the
   packet-position pole (low load), so use with care;
 * ``"dominant-pole"`` — keep only the dominant pole of the product;
-* ``"chernoff"`` — the Chernoff bound of eq. (36);
+* ``"chernoff"`` — the Chernoff bound of eq. (36), whose quantile is
+  ``inf_{0 < s < s_max} (log|F(s)| - log(1 - p)) / s`` (one bounded
+  minimisation);
 * ``"sum-of-quantiles"`` — sum of the per-component quantiles (the
   conservative shortcut mentioned at the end of Section 3.3).
 """
@@ -32,7 +34,6 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ParameterError, StabilityError
 from ..units import require_non_negative, require_positive
@@ -51,7 +52,7 @@ from .inversion import (
     tails_from_mgf,
     tails_from_mgfs,
 )
-from .mgf import ErlangTerm, ErlangTermSum
+from .mgf import ErlangTerm, ErlangTermSum, chernoff_quantile
 from .upstream import MD1Queue, MultiClassMG1Queue, TrafficClass
 
 __all__ = [
@@ -390,36 +391,20 @@ class ComposedRttModel:
         return approx.quantile(probability)
 
     # -- Chernoff bound (eq. (36)) ----------------------------------------
-    def _chernoff_tail(self, delay_s: float) -> float:
-        if delay_s <= 0.0:
-            return 1.0
-        poles = (
-            [t.rate.real for t in self._upstream_terms.terms]
-            + [t.rate.real for t in self._burst_terms.terms]
-            + [t.rate.real for t in self._position_terms.terms]
-        )
-        s_max = min(poles) * (1.0 - 1e-9)
-        result = optimize.minimize_scalar(
-            lambda s: -s * delay_s + math.log(max(abs(self.queueing_mgf(s)), 1e-300)),
-            bounds=(1e-12, s_max),
-            method="bounded",
-        )
-        return math.exp(min(float(result.fun), 0.0))
-
     def _chernoff_quantile(self, probability: float) -> float:
-        target = 1.0 - probability
-        upper = max(self.mean_queueing_delay(), 1e-7)
-        for _ in range(200):
-            if self._chernoff_tail(upper) < target:
-                break
-            upper *= 2.0
-        else:
-            raise ParameterError("could not bracket the Chernoff quantile")
-        return float(
-            optimize.brentq(
-                lambda x: self._chernoff_tail(x) - target, 1e-15, upper, xtol=1e-12
-            )
-        )
+        """``inf_{0 < s < s_max} (log|D_u(s) W(s) P(s)| - log(1 - p)) / s``.
+
+        The Chernoff bound ``P(Q > x) <= inf_s e^{-s x} |D_u(s) W(s)
+        P(s)|`` of the total queueing delay ``Q`` reaches ``1 - p``
+        exactly at this ``x`` (:func:`~repro.core.mgf.chernoff_quantile`);
+        ``s_max`` lies just below the closest pole of the three factors.
+        """
+        poles = [
+            t.rate.real
+            for terms in (self._upstream_terms, self._burst_terms, self._position_terms)
+            for t in terms.terms
+        ]
+        return chernoff_quantile(self.queueing_mgf, poles, probability)
 
     # ------------------------------------------------------------------
     # RTT quantiles

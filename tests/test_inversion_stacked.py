@@ -7,6 +7,8 @@ stacked tails and the lockstep quantile searches must return the very
 same floats as the per-model API.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from repro.core.rtt import (
     QueueingMgfStack,
     batch_queueing_tails,
     batch_rtt_quantiles,
+    compile_eval_plans,
+    execute_plan,
     reset_stacked_eval_count,
     stacked_eval_count,
 )
@@ -180,18 +184,33 @@ class TestLockstepQuantiles:
         ]
         assert stacked == scalar
 
-    def test_chunking_does_not_change_the_floats(self):
-        models = _mixed_models()[:5]
-        stack = QueueingMgfStack(models)
-        kwargs = dict(
-            scale_hints=stack.scale_hints(),
-            atoms_at_zero=stack.atoms_at_zero(),
-            stack_eval=stack,
-        )
-        mgfs = [m.queueing_mgf for m in models]
-        whole = quantiles_from_mgfs(mgfs, PROBABILITY, **kwargs)
-        chunked = quantiles_from_mgfs(mgfs, PROBABILITY, max_workers=2, **kwargs)
-        assert whole == chunked
+    def test_round_mates_do_not_change_the_floats(self):
+        # Searching the whole list or two halves separately changes which
+        # searches share each stacked round, and nothing else.
+        models = _mixed_models()
+
+        def search(group):
+            stack = QueueingMgfStack(group)
+            return quantiles_from_mgfs(
+                [m.queueing_mgf for m in group],
+                PROBABILITY,
+                scale_hints=stack.scale_hints(),
+                atoms_at_zero=stack.atoms_at_zero(),
+                stack_eval=stack,
+            )
+
+        half = len(models) // 2
+        assert search(models) == search(models[:half]) + search(models[half:])
+
+    def test_execute_plan_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the lockstep search started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        models = _mixed_models()
+        (plan,) = compile_eval_plans(models, PROBABILITY, chunk_size=len(models))
+        result = execute_plan(plan, models=models)
+        assert list(result.values) == [m.rtt_quantile(PROBABILITY) for m in models]
 
     def test_lockstep_uses_fewer_array_calls(self):
         models = _mixed_models()
