@@ -75,14 +75,14 @@ def test_engine_batch_vs_uncached(benchmark):
     # -- dimensioning workload -----------------------------------------
     reset_model_build_count()
     uncached_dim = max_tolerable_load(
-        0.050, probability=PROBABILITIES[-1], **SCENARIO.to_dict()
+        0.050, scenario=SCENARIO, probability=PROBABILITIES[-1]
     )
-    # The keyword shim itself runs on a fresh engine, so this counts the
+    # The functional form runs on a fresh engine, so this counts the
     # cold dimensioning cost of the cached implementation; the seed path
-    # performed the same bisection plus one redundant rebuild per call.
+    # performed the same search plus one redundant rebuild per call.
     uncached_dim_builds = reset_model_build_count()
     cold_engine = Engine(SCENARIO, probability=PROBABILITIES[-1])
-    cold_engine.dimension(0.050)
+    cold_dim = cold_engine.dimension(0.050)
     dim_builds_before = engine.stats.model_builds
     cached_dim = engine.dimension(0.050, probability=PROBABILITIES[-1])
     dim_extra_builds = engine.stats.model_builds - dim_builds_before
@@ -112,10 +112,12 @@ def test_engine_batch_vs_uncached(benchmark):
     # Each distinct operating point is built exactly once.
     assert cached_builds == len(grid)
 
-    # The dimensioning search reads the RTT at the optimum from the
-    # cache instead of rebuilding it (the seed always paid one extra
-    # model build at the optimum on top of the bisection), and a warm
+    # The dimensioning search takes the RTT at the optimum from its own
+    # probes instead of rebuilding it (the seed always paid one extra
+    # model build at the optimum on top of the search), and a warm
     # engine never rebuilds what earlier queries already evaluated.
-    assert cold_engine.stats.quantile_cache_hits >= 1
     assert cold_engine.stats.model_builds == cold_engine.stats.quantile_evaluations
+    cold_builds = cold_engine.stats.model_builds
+    assert cold_engine.rtt_quantile(cold_dim.max_load) == cold_dim.rtt_at_max_load_s
+    assert cold_engine.stats.model_builds == cold_builds
     assert dim_extra_builds <= uncached_dim_builds

@@ -28,9 +28,8 @@ def main() -> None:
     rows = []
     for erlang_order in (2, 9, 20):
         for rtt_budget_ms in (50.0, 100.0, 150.0):
-            variant = scenario.with_erlang_order(erlang_order)
             result = max_tolerable_load(
-                rtt_budget_ms / 1e3, **variant.dimensioning_kwargs()
+                rtt_budget_ms / 1e3, scenario=scenario.with_erlang_order(erlang_order)
             )
             rows.append(
                 [

@@ -11,24 +11,33 @@ The headline numbers of Section 4 (P_S = 125 byte, T = 40 ms, C = 5 Mbps,
 RTT <= 50 ms) are roughly rho_max ~ 20% / 40% / 60% and N_max ~ 40 / 80 /
 120 gamers for K = 2 / 9 / 20.
 
-The search itself lives in :meth:`repro.engine.Engine.dimension`, which
-memoizes every model construction and quantile inversion; the
-:func:`max_tolerable_load` function below is the historical keyword
-interface, kept as a thin shim over a :class:`~repro.engine.Engine`
-built on the fly (it also accepts ``scenario=`` directly).
+Every capacity question — :meth:`repro.engine.Engine.admit` and
+:meth:`~repro.engine.Engine.dimension` on the exact model or on a
+certified surface (:meth:`repro.surface.QuantileSurface.invert_load`),
+and :meth:`repro.scenarios.sweep.SweepSeries.max_load_for_rtt_ms` —
+is answered by the one load search below, :func:`max_load_within`.  It
+returns the *feasible* end of its Brent bracket: a load whose RTT has
+been evaluated and meets the budget.  :func:`max_tolerable_load` is
+the one-shot functional form over an :class:`~repro.engine.Engine`
+built on the fly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ParameterError
+from .inversion import _brentq_steps
 from .rtt import DEFAULT_QUANTILE
 
 __all__ = [
+    "LOAD_RESOLUTION",
     "gamers_for_load",
     "load_for_gamers",
+    "one_gamer_load",
+    "max_load_within",
     "AdmissionResult",
     "DimensioningResult",
     "max_tolerable_load",
@@ -50,6 +59,68 @@ def load_for_gamers(num_gamers: float, tick_interval_s: float, aggregation_rate_
     if num_gamers <= 0.0:
         raise ParameterError("num_gamers must be positive")
     return 8.0 * num_gamers * server_packet_bytes / (tick_interval_s * aggregation_rate_bps)
+
+
+#: Load resolution of the capacity searches: the returned load lies
+#: within this distance below the true capacity.
+LOAD_RESOLUTION = 1e-3
+
+
+def one_gamer_load(scenario: Any) -> float:
+    """Smallest load that ``scenario`` maps back to at least one gamer.
+
+    Eq. (37)'s float round trip can lose the last bit —
+    ``gamers_at_load(load_for_gamers(1.0))`` is ``0.99999...`` on some
+    scenarios — so the one-gamer load is stepped up to the next float
+    the one-gamer check accepts.
+    """
+    load = scenario.load_for_gamers(1.0)
+    while scenario.gamers_at_load(load) < 1.0:
+        load = math.nextafter(load, math.inf)
+    return load
+
+
+def max_load_within(
+    rtt_at: Callable[[float], float],
+    budget_s: float,
+    lo: float,
+    hi: float,
+    xtol: float = LOAD_RESOLUTION,
+) -> Optional[Tuple[float, float]]:
+    """Largest load in ``[lo, hi]`` whose RTT meets ``budget_s``.
+
+    ``rtt_at`` must be non-decreasing in the load.  Returns ``None``
+    when even ``lo`` is over budget, ``(hi, rtt_at(hi))`` when ``hi``
+    meets it, and otherwise runs Brent's method (the probe sequence of
+    ``scipy.optimize.brentq``) on ``rtt_at(load) - budget_s`` and
+    returns the largest probe within budget, with its RTT.  Brent stops
+    once its bracket is narrower than ``xtol + 4 eps * load``, so
+    ``rtt_at(load + 1.001 * xtol) > budget_s`` for loads below 1: the
+    answer is feasible and at most ``xtol`` short of the capacity.
+    Every returned RTT is a value ``rtt_at`` produced; no load is
+    evaluated twice.
+    """
+    if lo > hi:
+        raise ParameterError(f"empty load bracket [{lo}, {hi}]")
+    rtt_lo = rtt_at(lo)
+    if rtt_lo > budget_s:
+        return None
+    rtt_hi = rtt_at(hi)
+    if rtt_hi <= budget_s:
+        return hi, rtt_hi
+    best = (lo, rtt_lo)
+    search = _brentq_steps(lo, hi, xtol, budget_s)
+    next(search)  # yields lo, already evaluated
+    search.send(rtt_lo)  # yields hi, already evaluated
+    value = rtt_hi
+    try:
+        while True:
+            probe = search.send(value)
+            value = rtt_at(probe)
+            if value <= budget_s and probe > best[0]:
+                best = (probe, value)
+    except StopIteration:
+        return best
 
 
 @dataclass(frozen=True)
@@ -141,55 +212,22 @@ class AdmissionResult:
 def max_tolerable_load(
     rtt_bound_s: float,
     *,
-    scenario: Optional[Any] = None,
+    scenario: Any,
     probability: float = DEFAULT_QUANTILE,
     method: str = "inversion",
-    load_resolution: float = 1e-3,
-    max_load_ceiling: float = 0.98,
-    **scenario_kwargs: float,
 ) -> DimensioningResult:
     """Largest downlink load whose RTT quantile stays within ``rtt_bound_s``.
 
-    Accepts either ``scenario=Scenario(...)`` or the historical keyword
-    explosion (``tick_interval_s=..., client_packet_bytes=..., ...``),
-    which is validated and packed into a
-    :class:`~repro.scenarios.base.Scenario` on the fly.  Either way the
-    search is delegated to :meth:`repro.engine.Engine.dimension`, so the
-    bisection never evaluates the same operating point twice.
+    One-shot form of :meth:`repro.engine.Engine.dimension` for
+    ``scenario`` (a :class:`~repro.scenarios.base.Scenario` or a
+    multi-server mix); raises :class:`~repro.errors.ParameterError`
+    when the bound cannot be met even by a single gamer.
     """
     # Imported lazily: engine -> scenarios -> core would otherwise cycle.
     from ..engine import Engine
-    from ..scenarios.base import Scenario
 
-    if scenario is None:
-        # Preserve the historical contract: these keywords had no
-        # defaults, so omitting one must fail loudly rather than fall
-        # back to the paper's DSL values.
-        required = (
-            "tick_interval_s",
-            "client_packet_bytes",
-            "server_packet_bytes",
-            "erlang_order",
-            "access_uplink_bps",
-            "access_downlink_bps",
-            "aggregation_rate_bps",
-        )
-        missing = [name for name in required if name not in scenario_kwargs]
-        if missing:
-            raise TypeError(
-                f"max_tolerable_load() missing required keyword argument(s) "
-                f"{missing}; pass scenario=Scenario(...) to use defaults"
-            )
-        scenario = Scenario.from_dict(scenario_kwargs)
-    elif scenario_kwargs:
-        raise ParameterError(
-            "pass either scenario= or the individual scenario keywords, not both"
-        )
-    engine = Engine(scenario, probability=probability, method=method)
-    return engine.dimension(
-        rtt_bound_s,
-        load_resolution=load_resolution,
-        max_load_ceiling=max_load_ceiling,
+    return Engine(scenario, probability=probability, method=method).dimension(
+        rtt_bound_s
     )
 
 

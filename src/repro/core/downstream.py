@@ -132,16 +132,26 @@ class DEKOneQueue:
 
     @cached_property
     def weights(self) -> List[complex]:
-        """The weights ``a_j`` of eq. (27)."""
+        """The weights ``a_j`` of eq. (27).
+
+        At very low load ``zeta_j^K`` underflows to zero while the
+        product divides by ``zeta_k - zeta_j = 0`` or overflows; the
+        true weight is then of the order of ``|zeta_j|`` (below 1e-16),
+        so it is taken as exactly zero.
+        """
         zetas = self.roots
         weights: List[complex] = []
         for j, zeta_j in enumerate(zetas):
+            power = zeta_j**self.order
+            if power == 0.0:
+                weights.append(0j)
+                continue
             product = 1.0 + 0.0j
             for k, zeta_k in enumerate(zetas):
                 if k == j:
                     continue
                 product *= (zeta_k - 1.0) / (zeta_k - zeta_j)
-            weights.append(zeta_j**self.order * product)
+            weights.append(power * product)
         return weights
 
     # ------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Cached evaluation facade over a :class:`~repro.scenarios.base.Scenario`.
 
 The seed code rebuilt a :class:`~repro.core.rtt.PingTimeModel` from
-scratch at every sweep point and every bisection step of the
-dimensioning search, even when the operating point had already been
-evaluated.  :class:`Engine` owns one scenario and memoizes both the
-models and the quantile evaluations per (operating point, probability,
-method), so that
+scratch at every sweep point and every step of the dimensioning
+search, even when the operating point had already been evaluated.
+:class:`Engine` owns one scenario and memoizes both the models and the
+quantile evaluations per (operating point, probability, method), so
+that
 
 * ``engine.rtt_quantile(load)`` builds each distinct operating point
   once, ever;
 * ``engine.sweep(loads)`` evaluates a load grid as a batch — duplicate
   and previously-seen loads are cache hits — instead of per-point
   rebuilds;
-* ``engine.dimension(rtt_bound)`` shares its bisection evaluations with
-  every other query, and reads the RTT at the optimum straight from the
-  cache instead of rebuilding the model a final time;
+* ``engine.admit(rtt_budget)`` / ``engine.dimension(rtt_bound)`` share
+  their capacity-search evaluations with every other query, and take
+  the RTT at the optimum from the search itself instead of rebuilding
+  the model a final time;
 * ``engine.simulate(...)`` runs the discrete-event validation of the
   same scenario without re-threading nine keyword arguments.
 
@@ -30,9 +31,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from scipy import optimize
-
-from .core.dimensioning import AdmissionResult, DimensioningResult
+from .core.dimensioning import (
+    AdmissionResult,
+    DimensioningResult,
+    max_load_within,
+    one_gamer_load,
+)
 from .core.rtt import (
     DEFAULT_QUANTILE,
     QUANTILE_METHODS,
@@ -337,12 +341,12 @@ class Engine:
         :meth:`~repro.scenarios.sweep.SweepSeries.interpolate_rtt_ms` /
         :meth:`~repro.scenarios.sweep.SweepSeries.max_load_for_rtt_ms`
         carry a certified bound instead of uncertified linear
-        interpolation, and it routes the *inverse* queries —
-        :meth:`dimension` and :meth:`admit` — through the surface's
-        O(1) brentq inversion when the budget's root is certified
-        in-region (zero evaluation plans executed; the exact path is
-        the bit-identical fallback).  O(1) surface *serving* lives in
-        :meth:`repro.fleet.Fleet.attach_surfaces`.
+        interpolation, and :meth:`admit` (so :meth:`dimension` too)
+        searches the capacity on the surface's O(1) lookup
+        (:meth:`~repro.surface.QuantileSurface.invert_load`) when the
+        surface certifies it in-region — zero evaluation plans executed;
+        otherwise the exact search answers.  O(1) surface *serving*
+        lives in :meth:`repro.fleet.Fleet.attach_surfaces`.
         """
         from .surface import QuantileSurface, SurfaceIndex
 
@@ -446,98 +450,34 @@ class Engine:
     # ------------------------------------------------------------------
     # Dimensioning (Section 4)
     # ------------------------------------------------------------------
-    def _surface_invert(
-        self, rtt_bound_s: float, probability: float, method: str, ceiling: float
-    ) -> Optional[Tuple[float, float]]:
-        """Invert load→quantile on an attached surface, if it certifies.
-
-        Returns ``(max_load, rtt_at_max_load_s)`` from the O(1)
-        certified path — zero evaluation plans executed — or ``None``
-        when no attached surface can certify the answer (no surface for
-        the method, level out of range, or the root at/beyond a region
-        edge), in which case the caller runs the exact path.
-        """
-        if self._surfaces is None:
-            return None
-        surface = self._surfaces.get(self.scenario.cache_key(), method)
-        if surface is None:
-            return None
-        load = surface.invert_load(rtt_bound_s, probability, load_cap=ceiling)
-        if load is None:
-            return None
-        return load, surface.lookup(load, probability)
-
     def dimension(
         self,
         rtt_bound_s: float,
         probability: Optional[float] = None,
         method: Optional[str] = None,
-        load_resolution: float = 1e-3,
-        max_load_ceiling: float = 0.98,
     ) -> DimensioningResult:
         """Largest downlink load whose RTT quantile meets ``rtt_bound_s``.
 
-        The RTT quantile is monotonically increasing in the load, so a
-        bisection on the load suffices.  With an attached certified
-        surface covering the scenario (see :meth:`attach_surface`), the
-        bisection runs on the surface's O(1) lookup instead — certified
-        within its stored bound, zero evaluation plans executed; when
-        the surface cannot certify the answer the exact path below is
-        the bit-identical fallback.  Exact evaluations go through the
-        shared cache; in particular the RTT at the optimum is reused
-        from the bisection instead of rebuilding the model a final
-        time.
+        The capacity search of :meth:`admit` (through an attached
+        certified surface when it certifies the answer, exactly
+        otherwise), except that a bound not even one gamer meets raises
+        :class:`~repro.errors.ParameterError` instead of answering
+        ``admitted=False``.
         """
         if rtt_bound_s <= 0.0:
             raise ParameterError("rtt_bound_s must be positive")
-        probability, method = self._resolve(probability, method)
-        scenario = self.scenario
-        ceiling = scenario.stable_load_ceiling(max_load_ceiling)
-
-        inverted = self._surface_invert(rtt_bound_s, probability, method, ceiling)
-        if inverted is not None:
-            best_load, rtt_at_best = inverted
-            gamers = int(math.floor(scenario.gamers_at_load(best_load)))
-            return DimensioningResult(
-                rtt_bound_s=rtt_bound_s,
-                probability=probability,
-                max_load=best_load,
-                max_gamers=max(gamers, 0),
-                rtt_at_max_load_s=rtt_at_best,
-            )
-
-        # The load must at least accommodate one gamer.
-        floor_load = scenario.load_for_gamers(1.0)
-        floor_load = min(max(floor_load, 1e-4), ceiling / 2.0)
-
-        rtt_floor = self.rtt_quantile(floor_load, probability, method)
-        if rtt_floor > rtt_bound_s:
+        result = self.admit(rtt_bound_s, probability, method)
+        if not result.admitted:
             raise ParameterError(
                 f"the RTT bound {rtt_bound_s * 1e3:.1f} ms cannot be met even at the "
-                f"minimum load ({rtt_floor * 1e3:.1f} ms with a single gamer)"
+                f"minimum load ({result.rtt_at_max_load_ms:.1f} ms with a single gamer)"
             )
-        rtt_ceiling = self.rtt_quantile(ceiling, probability, method)
-        if rtt_ceiling <= rtt_bound_s:
-            best_load = ceiling
-        else:
-            best_load = float(
-                optimize.brentq(
-                    lambda load: self.rtt_quantile(load, probability, method)
-                    - rtt_bound_s,
-                    floor_load,
-                    ceiling,
-                    xtol=load_resolution,
-                )
-            )
-        gamers = int(math.floor(scenario.gamers_at_load(best_load)))
-        # brentq returns a load it has evaluated, so this is a cache hit.
-        rtt_at_best = self.rtt_quantile(best_load, probability, method)
         return DimensioningResult(
             rtt_bound_s=rtt_bound_s,
-            probability=probability,
-            max_load=best_load,
-            max_gamers=max(gamers, 0),
-            rtt_at_max_load_s=rtt_at_best,
+            probability=result.probability,
+            max_load=result.max_load,
+            max_gamers=result.max_gamers,
+            rtt_at_max_load_s=result.rtt_at_max_load_s,
         )
 
     def admit(
@@ -548,24 +488,25 @@ class Engine:
         *,
         load: Optional[float] = None,
         num_gamers: Optional[float] = None,
-        load_resolution: float = 1e-3,
-        max_load_ceiling: float = 0.98,
         exact: bool = False,
     ) -> AdmissionResult:
         """Admission control: can the pipe keep the quantile under budget?
 
-        Inverts the monotone load→quantile relation at ``probability``
-        and compares the resulting capacity against the (optional)
-        proposed operating point — ``load=`` or ``num_gamers=``, at
-        most one.  Unlike :meth:`dimension`, an unmeetable budget is a
-        *negative answer* (``admitted=False``, ``max_load=0``), never
-        an error: that is the question admission control exists to
-        answer.  With an attached certified surface whose region
-        brackets the budget, the inversion runs on the O(1) lookup with
-        zero evaluation plans executed (``source="surface"``);
-        otherwise the exact path answers, bit-identical to
-        :meth:`dimension`'s search (``source="exact"``).  ``exact=True``
-        skips any attached surface outright.
+        Finds the capacity — the largest load between the one-gamer load
+        and the scenario's stable ceiling whose RTT quantile at
+        ``probability`` meets the budget, to within
+        :data:`~repro.core.dimensioning.LOAD_RESOLUTION` on the feasible
+        side — with :func:`~repro.core.dimensioning.max_load_within`,
+        and compares it against the (optional) proposed operating point
+        — ``load=`` or ``num_gamers=``, at most one.  An unmeetable
+        budget is a *negative answer* (``admitted=False``,
+        ``max_load=0``, the one-gamer RTT as ``rtt_at_max_load_s``),
+        never an error: that is the question admission control exists
+        to answer.  An attached certified surface that certifies the
+        capacity in-region answers with zero evaluation plans executed
+        (``source="surface"``); otherwise the exact search runs through
+        the shared cache (``source="exact"``).  ``exact=True`` skips any
+        attached surface outright.
         """
         if not rtt_budget_s > 0.0:
             raise ParameterError("rtt_budget_s must be positive")
@@ -573,7 +514,7 @@ class Engine:
         if load is not None and num_gamers is not None:
             raise ParameterError("pass at most one of load= or num_gamers=")
         scenario = self.scenario
-        ceiling = scenario.stable_load_ceiling(max_load_ceiling)
+        ceiling = scenario.stable_load_ceiling()
         proposed: Optional[float] = None
         if num_gamers is not None:
             if float(num_gamers) <= 0.0:
@@ -584,54 +525,45 @@ class Engine:
             if not 0.0 < proposed < 1.0:
                 raise ParameterError("load must lie in (0, 1)")
 
-        inverted = (
+        surface = (
             None
-            if exact
-            else self._surface_invert(rtt_budget_s, probability, method, ceiling)
+            if exact or self._surfaces is None
+            else self._surfaces.get(scenario.cache_key(), method)
         )
-        if inverted is not None:
-            best_load, rtt_at_best = inverted
-            source = "surface"
-        else:
-            source = "exact"
-            floor_load = scenario.load_for_gamers(1.0)
-            floor_load = min(max(floor_load, 1e-4), ceiling / 2.0)
-            rtt_floor = self.rtt_quantile(floor_load, probability, method)
-            if rtt_floor > rtt_budget_s:
-                # Over budget already at the minimum load: nobody is
-                # admitted, and the floor RTT documents by how much.
+        found = (
+            None
+            if surface is None
+            else surface.invert_load(rtt_budget_s, probability, load_cap=ceiling)
+        )
+        source = "exact" if found is None else "surface"
+        if found is None:
+            floor = one_gamer_load(scenario)
+            found = max_load_within(
+                lambda point: self.rtt_quantile(point, probability, method),
+                rtt_budget_s,
+                floor,
+                ceiling,
+            )
+            if found is None:
+                # Over budget already with one gamer: nobody is admitted,
+                # and the one-gamer RTT (a cache hit) says by how much.
                 return AdmissionResult(
                     rtt_budget_s=float(rtt_budget_s),
                     probability=probability,
                     admitted=False,
                     max_load=0.0,
                     max_gamers=0,
-                    rtt_at_max_load_s=rtt_floor,
+                    rtt_at_max_load_s=self.rtt_quantile(floor, probability, method),
                     proposed_load=proposed,
                     source=source,
                 )
-            rtt_ceiling = self.rtt_quantile(ceiling, probability, method)
-            if rtt_ceiling <= rtt_budget_s:
-                best_load = ceiling
-            else:
-                best_load = float(
-                    optimize.brentq(
-                        lambda point: self.rtt_quantile(point, probability, method)
-                        - rtt_budget_s,
-                        floor_load,
-                        ceiling,
-                        xtol=load_resolution,
-                    )
-                )
-            rtt_at_best = self.rtt_quantile(best_load, probability, method)
-        gamers = int(math.floor(scenario.gamers_at_load(best_load)))
-        admitted = proposed is None or proposed <= best_load
+        best_load, rtt_at_best = found
         return AdmissionResult(
             rtt_budget_s=float(rtt_budget_s),
             probability=probability,
-            admitted=admitted,
+            admitted=proposed is None or proposed <= best_load,
             max_load=best_load,
-            max_gamers=max(gamers, 0),
+            max_gamers=int(math.floor(scenario.gamers_at_load(best_load))),
             rtt_at_max_load_s=rtt_at_best,
             proposed_load=proposed,
             source=source,

@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.dimensioning import max_load_within
 from ..core.rtt import DEFAULT_QUANTILE
 from ..errors import ParameterError
 from .base import Scenario
@@ -149,9 +150,11 @@ class SweepSeries:
         """Largest swept load whose interpolated RTT stays below the bound.
 
         With a certified surface attached and covering the swept load
-        range, the monotone RTT curve is inverted on the surface by
-        bisection (certified within the surface's bound); otherwise the
-        inverse is the historical uncertified linear interpolation.
+        range, the capacity is searched on the surface with
+        :func:`~repro.core.dimensioning.max_load_within` (certified
+        within the surface's bound, feasible side of a ``1e-9`` load
+        bracket); otherwise the inverse is the historical uncertified
+        linear interpolation.
         """
         loads = np.asarray(self.loads())
         rtts = np.asarray(self.rtt_ms())
@@ -161,18 +164,14 @@ class SweepSeries:
             and surface.covers(float(loads[0]), self.probability)
             and surface.covers(float(loads[-1]), self.probability)
         ):
-            from scipy import optimize  # deferred: keep module import light
-
-            def excess(load: float) -> float:
-                return 1e3 * surface.lookup(float(load), self.probability) - rtt_bound_ms
-
-            if excess(float(loads[0])) > 0.0:
-                return 0.0
-            if excess(float(loads[-1])) <= 0.0:
-                return float(loads[-1])
-            return float(
-                optimize.brentq(excess, float(loads[0]), float(loads[-1]), xtol=1e-9)
+            found = max_load_within(
+                lambda load: 1e3 * surface.lookup(load, self.probability),
+                rtt_bound_ms,
+                float(loads[0]),
+                float(loads[-1]),
+                xtol=1e-9,
             )
+            return 0.0 if found is None else found[0]
         if rtts[0] > rtt_bound_ms:
             return 0.0
         if rtts[-1] <= rtt_bound_ms:

@@ -230,10 +230,10 @@ class RequestCoalescer:
         """Answer one admit request, single-flighting identical ones.
 
         The request is resolved (and validated) synchronously so a bad
-        admit raises in its own caller; the inversion itself runs on the
-        loop's default thread pool — it is either an O(1) surface lookup
-        plus ``brentq`` or a short exact bisection, never a stacked
-        batch, so it does not ride the coalescing window.
+        admit raises in its own caller; the capacity search itself runs
+        on the loop's default thread pool — on a surface's O(1) lookup
+        or a short serial run of exact evaluations, never a stacked
+        batch — so it does not ride the coalescing window.
         """
         item = self.fleet._resolve_admit(request)
         key = _admit_key(request, item.scenario_key, item.probability, item.method)

@@ -36,6 +36,7 @@ from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.polynomial import chebyshev
 
+from ..core.dimensioning import one_gamer_load
 from ..core.rtt import QUANTILE_METHODS
 from ..engine import Engine
 from ..errors import ConvergenceError, ParameterError
@@ -203,7 +204,7 @@ def build_surface(
     if load_lo is None:
         # One gamer is the smallest meaningful operating point; 0.05
         # keeps the region inside the regime the sweeps exercise.
-        load_lo = max(scenario.load_for_gamers(1.0 + 1e-9), 0.05)
+        load_lo = max(one_gamer_load(scenario), 0.05)
     load_lo = float(load_lo)
     load_hi = float(
         scenario.stable_load_ceiling(0.90) if load_hi is None else load_hi
@@ -216,7 +217,7 @@ def build_surface(
     if scenario.gamers_at_load(load_lo) < 1.0:
         raise ParameterError(
             f"load_lo {load_lo:.4f} corresponds to fewer than one gamer; "
-            "raise it to at least scenario.load_for_gamers(1.0)"
+            "raise it to at least one_gamer_load(scenario)"
         )
 
     if engine is None:

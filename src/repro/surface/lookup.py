@@ -32,9 +32,13 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.dimensioning import max_load_within
 from ..errors import ParameterError
 
 __all__ = ["QuantileSurface", "SurfaceIndex"]
+
+#: Load resolution of :meth:`QuantileSurface.invert_load`.
+_INVERT_XTOL = 1e-6
 
 
 def _nines(probability: float) -> float:
@@ -174,24 +178,25 @@ class QuantileSurface:
         probability: float,
         *,
         load_cap: Optional[float] = None,
-        xtol: float = 1e-6,
-    ) -> Optional[float]:
+    ) -> Optional[Tuple[float, float]]:
         """Largest load whose surface RTT stays within ``rtt_budget_s``.
 
-        Inverts the monotone load→quantile relation at a fixed quantile
-        level by Brent's method on the O(1) :meth:`lookup` — the
-        admission-control fast path: certified, and zero evaluation
-        plans executed.  ``load_cap`` (typically the scenario's stable
-        load ceiling) truncates the search above.
+        The capacity search :func:`~repro.core.dimensioning.max_load_within`
+        run on the O(1) :meth:`lookup` at a fixed quantile level, to
+        within ``1e-6`` in load — the admission-control fast path:
+        certified, and zero evaluation plans executed.  ``load_cap``
+        (typically the scenario's stable load ceiling) truncates the
+        search above.  Returns ``(load, rtt_s)`` with the surface RTT
+        at that load.
 
         Returns ``None`` whenever the surface cannot *certify* the
         answer — the level is outside the certified region, or the
-        capacity bound lies at or beyond a region edge where the true
-        root may escape the region — in which case the caller must fall
-        back to the exact path.  The one edge the surface may still
-        answer is saturation at the cap: when the cap itself lies
-        in-region and its RTT meets the budget, the capacity *is* the
-        cap.
+        capacity lies at the region's low edge or beyond its high edge,
+        where the true capacity may escape the region — in which case
+        the caller must fall back to the exact path.  The one edge the
+        surface may still answer is saturation at the cap: when the cap
+        itself lies in-region and its RTT meets the budget, the capacity
+        *is* the cap.
         """
         if not (
             math.isfinite(rtt_budget_s) and rtt_budget_s > 0.0
@@ -203,25 +208,24 @@ class QuantileSurface:
         lo = self.load_lo
         if not lo < hi:
             return None
-        excess_lo = self.lookup(lo, probability) - rtt_budget_s
-        excess_hi = self.lookup(hi, probability) - rtt_budget_s
-        if excess_lo >= 0.0:
-            # Over budget already at the region's low edge: the true
-            # capacity (if any) lies below load_lo, out of region.
+        found = max_load_within(
+            lambda load: self.lookup(load, probability),
+            rtt_budget_s,
+            lo,
+            hi,
+            xtol=_INVERT_XTOL,
+        )
+        if found is None or found[0] == lo:
+            # Over budget at (or within the resolution of) the region's
+            # low edge: the true capacity may lie below load_lo.
             return None
-        if excess_hi <= 0.0:
-            # Within budget all the way up to ``hi``.  Certify only the
-            # saturated case where ``hi`` is the caller's cap (not the
-            # region edge, beyond which the true capacity may escape).
-            if load_cap is not None and float(load_cap) <= self.load_hi:
-                return hi
+        if found[0] == hi and not (
+            load_cap is not None and float(load_cap) <= self.load_hi
+        ):
+            # Within budget up to the region edge, not the caller's cap:
+            # the true capacity may lie beyond load_hi.
             return None
-        from scipy import optimize  # deferred: keep module import light
-
-        def excess(load: float) -> float:
-            return self.lookup(float(load), probability) - rtt_budget_s
-
-        return float(optimize.brentq(excess, lo, hi, xtol=xtol))
+        return found
 
     # ------------------------------------------------------------------
     # Serialization (consumed by repro.surface.store)

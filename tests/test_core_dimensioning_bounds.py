@@ -5,6 +5,7 @@ import pytest
 from repro.core import DeterministicRttBound, PingTimeModel, max_gamers, max_tolerable_load
 from repro.core.dimensioning import gamers_for_load, load_for_gamers
 from repro.errors import ParameterError
+from repro.scenarios import Scenario
 
 
 def scenario_kwargs(erlang_order=9, tick=0.040, server_bytes=125.0):
@@ -17,6 +18,10 @@ def scenario_kwargs(erlang_order=9, tick=0.040, server_bytes=125.0):
         access_downlink_bps=1024e3,
         aggregation_rate_bps=5e6,
     )
+
+
+def make_scenario(**overrides):
+    return Scenario(**scenario_kwargs(**overrides))
 
 
 class TestEq37:
@@ -41,49 +46,51 @@ class TestEq37:
 class TestMaxTolerableLoad:
     def test_paper_k9_dimensioning(self):
         """K=9, RTT<=50ms -> max load ~40%, N_max ~80 (Section 4)."""
-        result = max_tolerable_load(0.050, **scenario_kwargs(erlang_order=9))
+        result = max_tolerable_load(0.050, scenario=make_scenario(erlang_order=9))
         assert result.max_load == pytest.approx(0.40, abs=0.06)
         assert 70 <= result.max_gamers <= 90
 
     def test_paper_k2_dimensioning(self):
         """K=2 -> max load ~20%, N_max ~40."""
-        result = max_tolerable_load(0.050, **scenario_kwargs(erlang_order=2))
+        result = max_tolerable_load(0.050, scenario=make_scenario(erlang_order=2))
         assert result.max_load == pytest.approx(0.20, abs=0.05)
         assert 30 <= result.max_gamers <= 50
 
     def test_paper_k20_dimensioning(self):
         """K=20 -> max load ~60%, N_max ~120."""
-        result = max_tolerable_load(0.050, **scenario_kwargs(erlang_order=20))
+        result = max_tolerable_load(0.050, scenario=make_scenario(erlang_order=20))
         assert result.max_load == pytest.approx(0.60, abs=0.08)
         assert 100 <= result.max_gamers <= 135
 
     def test_dimensioning_ordering_in_k(self):
         loads = {
-            order: max_tolerable_load(0.050, **scenario_kwargs(erlang_order=order)).max_load
+            order: max_tolerable_load(
+                0.050, scenario=make_scenario(erlang_order=order)
+            ).max_load
             for order in (2, 9, 20)
         }
         assert loads[2] < loads[9] < loads[20]
 
     def test_rtt_at_max_load_respects_bound(self):
-        result = max_tolerable_load(0.050, **scenario_kwargs())
+        result = max_tolerable_load(0.050, scenario=make_scenario())
         assert result.rtt_at_max_load_s <= 0.050 * 1.02
 
     def test_looser_bound_allows_more_gamers(self):
-        tight = max_tolerable_load(0.050, **scenario_kwargs())
-        loose = max_tolerable_load(0.100, **scenario_kwargs())
+        tight = max_tolerable_load(0.050, scenario=make_scenario())
+        loose = max_tolerable_load(0.100, scenario=make_scenario())
         assert loose.max_gamers > tight.max_gamers
 
     def test_unreachable_bound_raises(self):
         with pytest.raises(ParameterError):
-            max_tolerable_load(0.001, **scenario_kwargs())
+            max_tolerable_load(0.001, scenario=make_scenario())
 
     def test_max_gamers_wrapper(self):
-        assert max_gamers(0.050, **scenario_kwargs()) == max_tolerable_load(
-            0.050, **scenario_kwargs()
+        assert max_gamers(0.050, scenario=make_scenario()) == max_tolerable_load(
+            0.050, scenario=make_scenario()
         ).max_gamers
 
     def test_result_unit_helpers(self):
-        result = max_tolerable_load(0.050, **scenario_kwargs())
+        result = max_tolerable_load(0.050, scenario=make_scenario())
         assert result.rtt_bound_ms == pytest.approx(50.0)
         assert result.rtt_at_max_load_ms == pytest.approx(1e3 * result.rtt_at_max_load_s)
 

@@ -146,38 +146,26 @@ class TestSweep:
 
 
 class TestDimension:
-    def test_matches_keyword_shim(self):
+    def test_matches_functional_form(self):
         engine_result = Engine(TICK40).dimension(0.050)
-        shim_result = max_tolerable_load(0.050, **TICK40.to_dict())
-        assert engine_result.max_load == shim_result.max_load
-        assert engine_result.max_gamers == shim_result.max_gamers
-        assert engine_result.rtt_at_max_load_s == shim_result.rtt_at_max_load_s
+        functional = max_tolerable_load(0.050, scenario=TICK40)
+        assert engine_result == functional
 
-    def test_shim_accepts_scenario_keyword(self):
-        by_scenario = max_tolerable_load(0.050, scenario=TICK40)
-        by_kwargs = max_tolerable_load(0.050, **TICK40.to_dict())
-        assert by_scenario.max_load == by_kwargs.max_load
-
-    def test_shim_rejects_mixed_forms(self):
-        with pytest.raises(ParameterError):
-            max_tolerable_load(0.050, scenario=TICK40, tick_interval_s=0.040)
-
-    def test_shim_keeps_required_keywords_required(self):
-        # The seed signature had no defaults for the seven scenario
-        # keywords; omitting one must not silently use the DSL values.
-        kwargs = TICK40.to_dict()
-        del kwargs["aggregation_rate_bps"]
-        with pytest.raises(TypeError, match="aggregation_rate_bps"):
-            max_tolerable_load(0.050, **kwargs)
+    def test_functional_form_takes_only_a_scenario(self):
+        with pytest.raises(TypeError):
+            max_tolerable_load(0.050, **TICK40.to_dict())
 
     def test_optimum_read_from_cache_not_rebuilt(self):
         # The seed evaluated _rtt_at_load(best_load) a second time after
-        # brentq had already evaluated it; the engine must not.
+        # brentq had already evaluated it; the engine must not: the
+        # optimum is one of the search's own probes.
         engine = Engine(TICK40)
         result = engine.dimension(0.050)
-        assert engine.stats.quantile_cache_hits >= 1
         assert engine.stats.quantile_evaluations == engine.stats.model_builds
-        assert result.rtt_at_max_load_s <= 0.050 * 1.02
+        builds = engine.stats.model_builds
+        assert engine.rtt_quantile(result.max_load) == result.rtt_at_max_load_s
+        assert engine.stats.model_builds == builds
+        assert result.rtt_at_max_load_s <= 0.050
 
     def test_dimension_then_sweep_share_models(self):
         engine = Engine(TICK40)

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ExecutorBrokenError
 from repro.executors import SerialExecutor
 from repro.fleet import Fleet, Request
+from repro.scenarios import available_scenarios
 from repro.serve import ServingDaemon
 
 RTT_RECORD = {"scenario": "ftth", "load": 0.40, "tag": "probe"}
@@ -324,6 +325,35 @@ class TestErrorResponses:
         status, _, raw = run_with_daemon(scenario)
         assert status == 400
         assert json.loads(raw)["type"] == "_HttpError"
+
+
+class TestRegistryEdgesOverHttp:
+    def test_capacity_and_one_gamer_queries_never_500(self):
+        """Tight and loose exact admits and a one-gamer RTT on every
+        preset are answered (200) or refused with a typed body (400)."""
+        cases = [
+            (path, dict(record, scenario=name))
+            for name in available_scenarios()
+            for path, record in (
+                ("/v1/admit", {"rtt_budget_ms": 4.0, "exact": True}),
+                ("/v1/admit", {"rtt_budget_ms": 400.0, "exact": True}),
+                ("/v1/rtt", {"gamers": 1}),
+            )
+        ]
+
+        async def scenario(daemon, client):
+            results = []
+            for path, record in cases:
+                # A fresh connection each: a 500 would close the socket.
+                async with HttpClient(daemon.host, daemon.port) as fresh:
+                    status, _, payload = await fresh.request_json("POST", path, record)
+                results.append((status, payload))
+            return results
+
+        for (path, record), (status, payload) in zip(cases, run_with_daemon(scenario)):
+            assert status in (200, 400), (path, record, payload)
+            if status == 400:
+                assert payload["type"] in ("ParameterError", "StabilityError")
 
 
 class _SlowExecutor(SerialExecutor):
