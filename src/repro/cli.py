@@ -45,7 +45,8 @@ files can be authored without reading the source.
 (:class:`repro.serve.ServingDaemon`): ``POST /v1/rtt`` answers one
 request record, ``POST /v1/batch`` streams a JSONL body through the
 same bounded windows, ``GET /healthz`` / ``GET /stats`` report
-liveness and the fleet/coalescer counters.  Concurrent requests are
+liveness and the fleet/coalescer counters.  LRU and surface hits are
+answered at once; concurrent requests that need evaluation are
 coalesced into stacked micro-batches (``--coalesce-ms`` window,
 ``--max-batch`` size) with identical in-flight misses evaluated once;
 SIGTERM/SIGINT drains gracefully and persists ``--warm-cache``.
@@ -341,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="request-coalescing window in milliseconds: concurrent "
-        "requests arriving within it are served as one stacked batch",
+        "requests that need evaluation arriving within it are served as "
+        "one stacked batch (LRU and surface hits never wait for it)",
     )
     serve.add_argument(
         "--max-batch",

@@ -167,6 +167,22 @@ class RttBreakdown:
         }
 
 
+#: A factor term weighing less than the double-precision resolution of
+#: the factor's unit mass is negligible to the dominant-pole residue.
+#: At low load the burst-waiting poles converge on the position pole
+#: with weights ~1e-18; keeping them would evaluate the position
+#: transform exactly at its own pole.
+_NEGLIGIBLE_WEIGHT = float(np.finfo(float).eps)
+
+
+def _significant_terms(terms: ErlangTermSum) -> ErlangTermSum:
+    """``terms`` without the terms of negligible weight (itself if none)."""
+    kept = [t for t in terms.terms if abs(t.coefficient) > _NEGLIGIBLE_WEIGHT]
+    if len(kept) == len(terms.terms):
+        return terms
+    return ErlangTermSum(atom=terms.atom, terms=kept)
+
+
 class ComposedRttModel:
     """Shared RTT machinery over three composed queueing-delay factors.
 
@@ -354,12 +370,14 @@ class ComposedRttModel:
         The dominant pole of the product is the smallest pole (by real
         part) among the component poles; its residue is the residue of
         the owning component multiplied by the other two transforms
-        evaluated at the pole (Section 3.3).
+        evaluated at the pole (Section 3.3).  Terms of negligible weight
+        (:data:`_NEGLIGIBLE_WEIGHT`) are dropped first, so a vanishing
+        burst term that shares the position pole neither owns the
+        dominant pole nor makes the residue divide by zero.
         """
         upstream, burst, position = (
-            self._upstream_terms,
-            self._burst_terms,
-            self._position_terms,
+            _significant_terms(terms)
+            for terms in (self._upstream_terms, self._burst_terms, self._position_terms)
         )
         candidates = []
         for owner, terms, others in (

@@ -344,7 +344,8 @@ class FleetStats:
     by a :class:`~repro.serve.RequestCoalescer` gathering concurrent
     callers into micro-batches in front of this fleet:
     ``coalesced_batches`` windows were flushed carrying
-    ``coalesced_requests`` requests in total, and ``deduped_inflight``
+    ``coalesced_requests`` requests in total (warm hits, answered at
+    submit, ride no window), and ``deduped_inflight``
     requests were answered by attaching to an identical operating point
     already being evaluated by an earlier window (single-flight) instead
     of evaluating it again.
@@ -856,45 +857,17 @@ class Fleet:
         for item in resolved:
             self._engine_for(item.scenario, item.key[0])
 
-        # Probe the cache, then any attached certified surfaces; collect
-        # the distinct misses.  The exact answer cache wins over a
-        # surface (its floats are exact), surface answers are served
-        # without ever entering that cache, and everything the surfaces
-        # decline — no surface for the (scenario, method), exact floats
-        # demanded, operating point outside the certified region — goes
-        # down the exact stacked path unchanged.
+        # Probe the warm tiers; collect the distinct misses.
         values: Dict[_CacheKey, float] = {}
         cached_flags: List[bool] = []
         misses: "OrderedDict[_CacheKey, Tuple[Scenario, float]]" = OrderedDict()
         for item in resolved:
             key = item.key
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                values[key] = self._cache[key]
-                self.stats.cache_hits += 1
-                cached_flags.append(True)
-                continue
-            if self._surfaces is not None:
-                value, outcome = self._surfaces.probe(
-                    key[0],
-                    item.method,
-                    item.downlink_load,
-                    item.probability,
-                    exact=item.exact,
-                    max_bound=self._surface_max_bound,
-                )
-                if outcome == "hit":
-                    self.stats.surface_hits += 1
-                    values[key] = value
-                    cached_flags.append(True)
-                    continue
-                if outcome == "fallback":
-                    self.stats.surface_fallbacks += 1
-                else:
-                    self.stats.surface_misses += 1
-            self.stats.cache_misses += 1
-            cached_flags.append(False)
-            if key not in misses:
+            value = self._probe_warm(item)
+            cached_flags.append(value is not None)
+            if value is not None:
+                values[key] = value
+            elif key not in misses:
                 misses[key] = (item.scenario, item.num_gamers)
 
         # Compile the misses of each (probability, method) group into
@@ -921,6 +894,63 @@ class Fleet:
             eval_plans=eval_plans,
             plan_keys=plan_keys,
         )
+
+    def _probe_warm(
+        self, item: ResolvedRequest, *, count_misses: bool = True
+    ) -> Optional[float]:
+        """The warm-tier value for one resolved request, or ``None``.
+
+        The exact answer cache is probed first (its floats are exact,
+        so even an ``exact=True`` request may take them), then any
+        attached certified surfaces; surface answers never enter that
+        cache.  Everything the surfaces decline — no surface for the
+        (scenario, method), exact floats demanded, operating point
+        outside the certified region — is a miss for the exact stacked
+        path.  Hits are counted (and refresh the LRU entry) here; a
+        miss is counted only with ``count_misses``, so a caller that
+        hands the request on to :meth:`serve` does not count it twice.
+        """
+        key = item.key
+        if key in self._cache:
+            self._cache.move_to_end(key)
+            self.stats.cache_hits += 1
+            return self._cache[key]
+        outcome = None
+        if self._surfaces is not None:
+            value, outcome = self._surfaces.probe(
+                key[0],
+                item.method,
+                item.downlink_load,
+                item.probability,
+                exact=item.exact,
+                max_bound=self._surface_max_bound,
+            )
+            if outcome == "hit":
+                self.stats.surface_hits += 1
+                return value
+        if count_misses:
+            if outcome == "fallback":
+                self.stats.surface_fallbacks += 1
+            elif outcome == "miss":
+                self.stats.surface_misses += 1
+            self.stats.cache_misses += 1
+        return None
+
+    def _serve_warm(self, item: ResolvedRequest) -> Optional[Answer]:
+        """Answer one resolved request from the warm tiers alone.
+
+        Returns ``None`` without touching any serving state when the
+        warm tiers cannot answer.  A hit is accounted exactly like a
+        one-request :meth:`serve`: the request and its hit are counted
+        once and the scenario's engine is LRU-touched.
+        """
+        value = self._probe_warm(item, count_misses=False)
+        if value is None:
+            return None
+        self.stats.requests += 1
+        self._engine_for(item.scenario, item.key[0])
+        self._prune_scenarios()
+        return item.answer(value, cached=True)
 
     def _share_cost_model(self, executor) -> None:
         """Lend this fleet's cost model to an executor without one.

@@ -8,10 +8,16 @@ arriving within a few milliseconds of each other into **one** batch
 before handing them to the fleet.  :class:`RequestCoalescer` does
 exactly that:
 
-* concurrent :meth:`~RequestCoalescer.submit` calls accumulate in a
-  pending window that is flushed when it reaches ``max_batch`` requests
-  or when ``max_delay_ms`` elapses since the window opened — whichever
-  comes first;
+* warm hits skip the window: a request the fleet's exact answer cache
+  (LRU) or an attached certified surface can answer is served inline
+  in :meth:`~RequestCoalescer.submit`, accounted exactly like a
+  one-request :meth:`~repro.fleet.Fleet.serve`, because a dictionary
+  lookup gains nothing from batching;
+* the remaining concurrent :meth:`~RequestCoalescer.submit` calls —
+  the requests that need evaluation — accumulate in a pending window
+  that is flushed when it reaches ``max_batch`` requests or when
+  ``max_delay_ms`` elapses since the window opened — whichever comes
+  first; only they pay that latency bound;
 * each flushed window is served through
   :meth:`~repro.fleet.AsyncFleet.serve_async` as a single batch, and the
   per-request answers are routed back to the awaiting callers' futures;
@@ -37,8 +43,9 @@ exactly that:
 
 Bookkeeping lands in the owning fleet's :class:`~repro.fleet.FleetStats`:
 ``coalesced_batches`` windows flushed, ``coalesced_requests`` requests
-carried by them, ``deduped_inflight`` requests answered by attaching to
-an in-flight evaluation.
+carried by them (warm hits answered inline are not among them),
+``deduped_inflight`` requests answered by attaching to an in-flight
+evaluation.
 
 Example::
 
@@ -117,7 +124,8 @@ class RequestCoalescer:
     max_delay_ms:
         Flush the pending window this many milliseconds after its first
         request arrived, even if it is not full — the latency bound a
-        lone request pays for the chance of being batched.
+        lone request that needs evaluation pays for the chance of being
+        batched.  Warm hits (LRU or certified surface) never wait for it.
     executor:
         Optional :class:`~repro.executors.Executor` forwarded to
         ``serve_async`` (falls back to the async fleet's own).
@@ -195,12 +203,14 @@ class RequestCoalescer:
 
         Resolution and validation happen immediately — a malformed
         request raises here, in the caller, and never poisons the window
-        the other callers are riding in.  The answer future resolves
-        when the request's window (or the in-flight evaluation it was
-        attached to) completes.  ``kind="admit"`` requests skip the
-        batching window — an admission check is one inversion, not a
-        stackable quantile — but identical concurrent admits are
-        single-flighted and return one shared :class:`AdmissionAnswer`.
+        the other callers are riding in.  A warm hit (LRU or certified
+        surface) is answered right here, without entering the window;
+        otherwise the answer future resolves when the request's window
+        (or the in-flight evaluation it was attached to) completes.
+        ``kind="admit"`` requests skip the batching window — an
+        admission check is one inversion, not a stackable quantile — but
+        identical concurrent admits are single-flighted and return one
+        shared :class:`AdmissionAnswer`.
         """
         if self._closed:
             raise ReproError("the request coalescer is closed")
@@ -209,6 +219,11 @@ class RequestCoalescer:
         if request.kind == "admit":
             return await self._submit_admit(request)
         resolved = self.fleet.resolve_request(request)
+        answer = self.fleet._serve_warm(resolved)
+        if answer is not None:
+            # An LRU or certified-surface hit is a dictionary lookup:
+            # answered inline, it never waits for a window.
+            return answer
         inflight = self._inflight.get(_flight_key(resolved))
         if inflight is not None:
             # Single-flight: the point is being evaluated right now by

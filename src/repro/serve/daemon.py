@@ -156,7 +156,9 @@ class ServingDaemon:
         faults surface as one retried window, not an outage.
     max_batch / coalesce_ms:
         The coalescing window: flush on this many gathered requests or
-        after this many milliseconds, whichever comes first.
+        after this many milliseconds, whichever comes first.  Only
+        requests that need evaluation pay this latency bound; LRU and
+        certified-surface hits are answered inline, outside the window.
     max_inflight:
         Bound on concurrently-served windows per ``/v1/batch`` stream.
     warm_cache:

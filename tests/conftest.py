@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.scenarios import DslScenario
+from repro.scenarios import DslScenario, get_scenario
+from repro.surface import build_surface
 from repro.traffic.games import counter_strike, half_life, unreal_tournament
 
 
@@ -17,6 +18,23 @@ from repro.traffic.games import counter_strike, half_life, unreal_tournament
 def rng() -> np.random.Generator:
     """A deterministic random generator for individual tests."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def fast_paper_surface():
+    """A quickly certified paper-dsl surface over loads 0.30-0.60 and
+    p in [0.9999, 0.999999] (session-scoped)."""
+    return build_surface(
+        get_scenario("paper-dsl"),
+        "inversion",
+        probability_lo=0.9999,
+        probability_hi=0.999999,
+        load_lo=0.30,
+        load_hi=0.60,
+        tolerance=1e-3,
+        probe_factor=2,
+        grid_ladder=((9, 5), (13, 7), (17, 9)),
+    )
 
 
 @pytest.fixture(scope="session")

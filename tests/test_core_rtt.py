@@ -1,11 +1,16 @@
 """Tests for the end-to-end Ping-time model (Sections 3.3 and 4)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import PingTimeModel
+from repro.core.dimensioning import one_gamer_load
 from repro.core.rtt import QUANTILE_METHODS
+from repro.engine import Engine
 from repro.errors import ParameterError, StabilityError
+from repro.scenarios.registry import available_scenarios, get_scenario
 
 
 def paper_model(load=0.4, erlang_order=9, tick=0.040, server_bytes=125.0):
@@ -196,3 +201,21 @@ class TestRttQuantiles:
         model = paper_model(load=0.5)
         bound = model.deterministic_bound()
         assert bound.rtt_bound_s > model.rtt_quantile(0.99999)
+
+
+class TestDominantPoleAtLowLoad:
+    """At low load the burst-waiting poles converge on the position pole
+    with weights ~1e-18; the residue must stay well defined there."""
+
+    @pytest.mark.parametrize("preset", available_scenarios())
+    def test_low_load_sweep_is_finite_and_warning_free(self, preset):
+        scenario = get_scenario(preset)
+        engine = Engine(scenario)
+        loads = np.geomspace(one_gamer_load(scenario), 0.05, 25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for load in loads:
+                model = engine.model_at_load(float(load))
+                rtt = model.rtt_quantile(0.999, "dominant-pole")
+                assert np.isfinite(rtt), load
+                assert rtt > model.deterministic_delay_s, load

@@ -335,3 +335,131 @@ class TestDrain:
         fleet, answers = asyncio.run(main())
         assert [a.tag for a in answers] == ["a", "b", "c"]
         assert fleet.stats.coalesced_batches == 1
+
+
+#: Points inside and outside the fast_paper_surface region (conftest).
+IN_REGION = Request("paper-dsl", downlink_load=0.44, probability=0.99999, tag="in")
+IN_REGION_EXACT = Request(
+    "paper-dsl", downlink_load=0.44, probability=0.99999, exact=True, tag="exact"
+)
+OUT_OF_REGION = Request("paper-dsl", downlink_load=0.20, probability=0.99999, tag="out")
+
+#: The FleetStats counters an inline warm hit must keep in step with
+#: a one-request Fleet.serve.
+PARITY_COUNTERS = (
+    "requests",
+    "cache_hits",
+    "cache_misses",
+    "surface_hits",
+    "surface_fallbacks",
+    "surface_misses",
+)
+
+
+def surfaced_fleet(surface):
+    fleet = Fleet()
+    fleet.attach_surfaces(surface)
+    return fleet
+
+
+class TestWarmFastPath:
+    """LRU and certified-surface hits are answered at submit, inline."""
+
+    def test_lru_and_surface_hits_skip_the_window(self, fast_paper_surface):
+        fleet = surfaced_fleet(fast_paper_surface)
+        fleet.serve([REQUESTS[0]])  # warm the LRU
+
+        async def main():
+            coalescer = RequestCoalescer(fleet, max_delay_ms=60_000)
+            answers = []
+            for request in (REQUESTS[0], IN_REGION):
+                # A windowed request would wait the full minute.
+                answers.append(
+                    await asyncio.wait_for(coalescer.submit(request), timeout=5.0)
+                )
+                assert coalescer.pending == 0
+            return answers
+
+        lru, surface = asyncio.run(main())
+        assert lru.cached is True and surface.cached is True
+        assert lru.tag == "a" and surface.tag == "in"
+        assert fleet.stats.coalesced_batches == 0
+        assert fleet.stats.coalesced_requests == 0
+        assert fleet.stats.cache_hits == 1
+        assert fleet.stats.surface_hits == 1
+        assert fleet.stats.plans_executed == 1  # the warm-up miss only
+
+    def test_exact_and_out_of_region_requests_wait_in_the_window(
+        self, fast_paper_surface
+    ):
+        fleet = surfaced_fleet(fast_paper_surface)
+
+        async def main():
+            coalescer = RequestCoalescer(fleet, max_delay_ms=60_000)
+            pending = []
+            for request in (IN_REGION_EXACT, OUT_OF_REGION):
+                task = asyncio.ensure_future(coalescer.submit(request))
+                await asyncio.sleep(0)
+                pending.append(coalescer.pending)
+                await coalescer.drain()
+                await task
+            return pending
+
+        assert asyncio.run(main()) == [1, 1]
+        assert fleet.stats.coalesced_batches == 2
+        assert fleet.stats.surface_hits == 0
+        assert fleet.stats.surface_fallbacks == 2
+
+    def test_stats_and_floats_match_a_one_request_serve_twin(self, fast_paper_surface):
+        stream = [
+            IN_REGION,
+            OUT_OF_REGION,
+            REQUESTS[0],  # no surface for ftth: a surface miss
+            IN_REGION,
+            OUT_OF_REGION,  # now an LRU hit
+            IN_REGION_EXACT,
+            IN_REGION_EXACT,  # an exact request may take the LRU float
+            REQUESTS[0],
+            REQUESTS[1],
+        ]
+        twin = surfaced_fleet(fast_paper_surface)
+        expected = [twin.serve([request])[0] for request in stream]
+        fleet = surfaced_fleet(fast_paper_surface)
+
+        async def main():
+            coalescer = RequestCoalescer(fleet, max_batch=1, max_delay_ms=60_000)
+            return [await coalescer.submit(request) for request in stream]
+
+        answers = asyncio.run(main())
+        for counter in PARITY_COUNTERS:
+            assert getattr(fleet.stats, counter) == getattr(twin.stats, counter), counter
+        assert [a.rtt_quantile_s for a in answers] == [
+            a.rtt_quantile_s for a in expected
+        ]
+        assert [a.cached for a in answers] == [a.cached for a in expected]
+        # Hits touch the scenario engines exactly as serve() does.
+        assert list(fleet._engines) == list(twin._engines)
+
+    def test_repeat_of_an_inflight_miss_rides_the_flight(self, fast_paper_surface):
+        fleet = surfaced_fleet(fast_paper_surface)
+        executor = _SlowExecutor()
+
+        async def main():
+            coalescer = RequestCoalescer(
+                fleet, max_batch=1, max_delay_ms=60_000, executor=executor
+            )
+            first = asyncio.ensure_future(coalescer.submit(OUT_OF_REGION))
+            await asyncio.sleep(0)  # window 1 is in flight, not yet cached
+            rider = asyncio.ensure_future(coalescer.submit(OUT_OF_REGION))
+            answers = await asyncio.gather(first, rider)
+            # Once the flight has landed the same key is an LRU hit.
+            answers.append(await coalescer.submit(OUT_OF_REGION))
+            return answers
+
+        first, rider, repeat = asyncio.run(main())
+        assert executor.runs == 1
+        assert fleet.stats.deduped_inflight == 1
+        assert fleet.stats.coalesced_requests == 1
+        assert rider.cached is True and repeat.cached is True
+        assert rider.rtt_quantile_s == repeat.rtt_quantile_s == first.rtt_quantile_s
+        assert fleet.stats.cache_hits == 1

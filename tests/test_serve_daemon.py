@@ -9,6 +9,7 @@ import asyncio
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.executors import SerialExecutor
 from repro.fleet import Fleet, Request
 from repro.scenarios import available_scenarios
 from repro.serve import ServingDaemon
+from repro.surface import save_surfaces
 
 RTT_RECORD = {"scenario": "ftth", "load": 0.40, "tag": "probe"}
 
@@ -576,6 +578,48 @@ class TestCoalescingOverHttp:
         assert a1["rtt_quantile_s"] == a2["rtt_quantile_s"]
         assert daemon.fleet.stats.evaluations == 1
         assert daemon.fleet.stats.deduped_inflight == 1
+
+
+    def test_warm_hits_do_not_wait_for_the_window(self, fast_paper_surface, tmp_path):
+        save_surfaces(fast_paper_surface, tmp_path)
+        miss = {"scenario": "paper-dsl", "load": 0.20, "probability": 0.99999}
+        in_region = {"scenario": "paper-dsl", "load": 0.44, "probability": 0.99999}
+
+        async def timed(client, record):
+            start = time.perf_counter()
+            status, _, payload = await client.request_json("POST", "/v1/rtt", record)
+            return status, payload, time.perf_counter() - start
+
+        async def main():
+            daemon = ServingDaemon(port=0, coalesce_ms=5000.0, surfaces=tmp_path)
+            async with daemon:
+                async with HttpClient(daemon.host, daemon.port) as client, \
+                        HttpClient(daemon.host, daemon.port) as other:
+                    first = asyncio.ensure_future(timed(other, miss))
+                    for _ in range(500):
+                        if daemon.coalescer.pending:
+                            break
+                        await asyncio.sleep(0.01)
+                    surface_hit = await timed(client, in_region)
+                    # The miss is still parked in its 5 s window; flush it
+                    # early rather than sleeping through it.
+                    window_pending = daemon.coalescer.pending
+                    await daemon.coalescer.drain()
+                    first_miss = await first
+                    lru_hit = await timed(client, miss)
+                return daemon, window_pending, first_miss, surface_hit, lru_hit
+
+        daemon, window_pending, first_miss, surface_hit, lru_hit = asyncio.run(main())
+        assert window_pending == 1
+        assert first_miss[0] == 200 and first_miss[1]["cached"] is False
+        for status, payload, seconds in (surface_hit, lru_hit):
+            assert status == 200
+            assert payload["cached"] is True
+            assert seconds < 1.0
+        assert lru_hit[1]["rtt_quantile_s"] == first_miss[1]["rtt_quantile_s"]
+        stats = daemon.fleet.stats
+        assert (stats.surface_hits, stats.cache_hits) == (1, 1)
+        assert stats.coalesced_batches == 1
 
 
 class TestWorkerMode:
