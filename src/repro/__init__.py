@@ -31,9 +31,7 @@ The package is organised as follows:
   scenario;
 * :mod:`repro.fleet` -- the :class:`Fleet` serving layer: a stream of
   :class:`Request` values spanning many scenarios, planned into
-  picklable evaluation units sized by a measured per-signature
-  :class:`CostModel` (heterogeneous batches split into roughly
-  equal-*cost* plans, not equal-count ones), executed on any
+  picklable evaluation units of at most 32 models each, executed on any
   :mod:`repro.executors` executor (in-process or a process pool; the
   :class:`AsyncFleet` facade serves asyncio callers) and assembled
   behind a shared bounded LRU cache; ``Request(kind="admit")`` turns a
@@ -93,22 +91,14 @@ negative answer (``admitted=False``), never an error.  The HTTP tier
 exposes the same thing as ``POST /v1/admit`` and the CLI as ``fps-ping
 admit``.
 
-**Cost-model chunking** sizes evaluation plans from measured
-per-signature cost instead of a fixed 32-model chunk: every served
-batch folds its observed ``exec_s`` back into the fleet's
-:class:`CostModel` (seeded with static priors, e.g. inversion cost
-grows linearly with the Erlang order), so cheap signatures pack more
-models per plan, expensive ones fewer, and
-:class:`ParallelExecutor` dispatches plans longest-predicted-first.
-Chunking, dispatch order and host placement are pure scheduling knobs:
-the served floats are bit-identical for every policy, worker count and
-host count.
+Chunking, dispatch order and host placement never change an answer:
+the served floats are bit-identical for every plan split, worker count
+and host count.
 """
 
 from .core import (
     DEFAULT_QUANTILE,
     AdmissionResult,
-    CostModel,
     DEKOneQueue,
     DeterministicRttBound,
     DimensioningResult,
@@ -154,7 +144,6 @@ from .surface import (
 from .validate import ValidationFleet, ValidationReport
 from .scenarios import (
     SCENARIO_PRESETS,
-    DslScenario,
     MixComponent,
     MixScenario,
     Scenario,
@@ -172,12 +161,10 @@ __all__ = [
     "Answer",
     "AsyncFleet",
     "CacheFormatError",
-    "CostModel",
     "DEFAULT_QUANTILE",
     "DEKOneQueue",
     "DeterministicRttBound",
     "DimensioningResult",
-    "DslScenario",
     "Engine",
     "EngineStats",
     "ErlangTermSum",

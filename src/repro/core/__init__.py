@@ -14,7 +14,6 @@ from .bounds import DeterministicRttBound
 from .rtt import (
     DEFAULT_QUANTILE,
     ComposedRttModel,
-    CostModel,
     MixFlow,
     MixPingTimeModel,
     PingTimeModel,
@@ -45,7 +44,6 @@ __all__ = [
     "DeterministicRttBound",
     "DEFAULT_QUANTILE",
     "ComposedRttModel",
-    "CostModel",
     "MixFlow",
     "MixPingTimeModel",
     "PingTimeModel",

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -65,12 +64,10 @@ __all__ = [
     "RttBreakdown",
     "QUANTILE_METHODS",
     "QueueingMgfStack",
-    "CostModel",
     "EvalPlan",
     "PlanResult",
     "compile_eval_plans",
     "execute_plan",
-    "plan_signature",
     "batch_rtt_quantiles",
     "batch_queueing_tails",
     "model_build_count",
@@ -969,16 +966,12 @@ class QueueingMgfStack:
 # ----------------------------------------------------------------------
 # The plan/execute layer: picklable work units for arbitrary executors
 # ----------------------------------------------------------------------
-#: Maximum number of models carried by one :class:`EvalPlan` under the
-#: legacy equal-count split.  Chunking a signature group does not change
-#: a single float (per-transform searches are independent of which other
-#: transforms share their lockstep rounds, see the stacked-inversion
-#: test-suite); it only bounds plan size so a process pool has enough
-#: units to balance.  Deprecated as an explicit ``chunk_size`` argument:
-#: prefer handing :func:`compile_eval_plans` a :class:`CostModel`, which
-#: sizes chunks per signature from measured cost (and reproduces this
-#: value for the paper-default ``inversion/K9`` signature when
-#: unobserved).  Kept importable for existing callers.
+#: Models per :class:`EvalPlan`: :func:`compile_eval_plans` cuts every
+#: signature group into chunks of this size.  Chunking a group does not
+#: change a single float (per-transform searches are independent of
+#: which other transforms share their lockstep rounds, see the
+#: stacked-inversion test-suite); it only bounds plan size so a process
+#: pool or a set of worker hosts has enough units to share.
 DEFAULT_PLAN_CHUNK = 32
 
 #: One model's parameters as a plain picklable mapping (PingTimeModel
@@ -1067,11 +1060,6 @@ class PlanResult:
     wire_s: float = 0.0
     #: Dead-host failovers this plan survived before completing.
     redispatches: int = 0
-    #: Wall-clock seconds :func:`execute_plan` spent on this plan, in the
-    #: process that ran it (excludes wire time).  The serving layer folds
-    #: it into per-signature cost statistics (FleetStats.plan_costs) —
-    #: the measured grounding for cost-model plan chunking.
-    exec_s: float = 0.0
 
 
 def _signature_key(params: ModelParams):
@@ -1097,148 +1085,11 @@ def _signature_key(params: ModelParams):
     return int(params["erlang_order"])
 
 
-def _signature_label(method: str, key: object = None) -> str:
-    """The cost-accounting label of a signature group, pre-plan.
-
-    Computable from the grouping key alone, so the planner can size a
-    chunk before any :class:`EvalPlan` exists.  ``key`` is a
-    :func:`_signature_key` value for ``"inversion"`` groups and ignored
-    otherwise (non-inversion methods are costed per method).
-    """
-    if method != "inversion":
-        return method
-    if isinstance(key, tuple):
-        return f"inversion/mix-K{key[1]}"
-    return f"inversion/K{key}"
-
-
-def plan_signature(plan: EvalPlan) -> str:
-    """A stable human-readable cost-accounting label for a plan.
-
-    ``"inversion"`` plans are compiled per factor-signature group, so
-    the label names the group (``"inversion/K9"`` for a single-server
-    Erlang-9 batch, ``"inversion/mix-K2"`` for a mix tagged at order 2).
-    Other methods are chunked in batch order across signatures, so their
-    per-model cost is keyed by the method alone (``"chernoff"``).
-    """
-    if plan.method != "inversion":
-        return _signature_label(plan.method)
-    return _signature_label(plan.method, _signature_key(plan.model_params[0]))
-
-
-#: Prior per-model cost of one Erlang stage under ``"inversion"`` — the
-#: lockstep search's per-round work grows with the number of transform
-#: terms, which is linear in the Erlang order K (signature (1, K, K-1)).
-_INVERSION_STAGE_PRIOR_S = 1.5e-4
-
-#: Prior per-model cost of the non-inversion methods.  Closed-form
-#: bounds (chernoff, dominant-pole) are cheap; the Appendix-A expansion
-#: and the per-component quantile sum each run scalar searches.
-_METHOD_PRIORS_S = {
-    "erlang-sum": 2.0e-3,
-    "dominant-pole": 2.0e-4,
-    "chernoff": 2.0e-4,
-    "sum-of-quantiles": 1.5e-3,
-}
-
-#: Fallback prior when a label matches no table entry.
-_DEFAULT_PRIOR_S = 1.0e-3
-
-
-def _prior_model_cost_s(label: str) -> float:
-    """Static per-model cost prior (seconds) for a signature label."""
-    if label.startswith("inversion/"):
-        tail = label.split("/", 1)[1]
-        digits = tail[5:] if tail.startswith("mix-K") else tail[1:]
-        try:
-            order = int(digits)
-        except ValueError:
-            return _DEFAULT_PRIOR_S
-        return _INVERSION_STAGE_PRIOR_S * max(order, 1)
-    return _METHOD_PRIORS_S.get(label, _DEFAULT_PRIOR_S)
-
-
-class CostModel:
-    """Measured per-signature evaluation cost, spent on plan sizing.
-
-    The planner asks :meth:`chunk_size_for` how many models one
-    :class:`EvalPlan` of a signature group should carry so every plan
-    costs roughly ``target_plan_cost_s`` seconds: heterogeneous batches
-    then split into equal-*cost* plans instead of equal-*count* ones,
-    and a process pool's tail is no longer gated by one oversized
-    expensive chunk.  Before any measurement arrives the model answers
-    from static priors calibrated so the paper-default signature
-    (``"inversion/K9"``) chunks at :data:`DEFAULT_PLAN_CHUNK` — an
-    unobserved cost model reproduces the legacy static split there,
-    while cheaper signatures pack more models per plan and costlier
-    ones fewer.  The serving layer folds every executed plan back in
-    through :meth:`observe` (fleet.py does so per batch), so the
-    predictions converge on the measured per-model means.
-
-    Chunking is purely a scheduling knob: per-transform lockstep
-    searches are independent of which other models share their plan, so
-    any chunk sizing yields bit-identical floats (see
-    :func:`compile_eval_plans`).
-    """
-
-    #: Largest chunk any policy may produce — bounds plan size so a pool
-    #: always has enough units to balance, however cheap the signature.
-    max_chunk = 128
-
-    def __init__(self, target_plan_cost_s: Optional[float] = None):
-        if target_plan_cost_s is None:
-            target_plan_cost_s = DEFAULT_PLAN_CHUNK * _prior_model_cost_s(
-                "inversion/K9"
-            )
-        if target_plan_cost_s <= 0.0:
-            raise ParameterError("target_plan_cost_s must be positive")
-        self.target_plan_cost_s = float(target_plan_cost_s)
-        #: label -> [models observed, total exec seconds]
-        self._observed: Dict[str, List[float]] = {}
-
-    def observe(self, label: str, models: int, exec_s: float) -> None:
-        """Fold one executed plan's measured cost into the model."""
-        totals = self._observed.setdefault(label, [0.0, 0.0])
-        totals[0] += int(models)
-        totals[1] += float(exec_s)
-
-    def predict_model_cost_s(self, label: str) -> float:
-        """Predicted per-model cost: observed mean, else the prior."""
-        totals = self._observed.get(label)
-        if totals and totals[0] > 0 and totals[1] > 0.0:
-            return totals[1] / totals[0]
-        return _prior_model_cost_s(label)
-
-    def predict_plan_cost_s(self, plan: EvalPlan) -> float:
-        """Predicted wall-clock cost of one plan, for LPT dispatch."""
-        return len(plan.indices) * self.predict_model_cost_s(plan_signature(plan))
-
-    def chunk_size_for(self, label: str) -> int:
-        """Models per plan so one plan costs ~``target_plan_cost_s``."""
-        cost = self.predict_model_cost_s(label)
-        if cost <= 0.0:
-            return DEFAULT_PLAN_CHUNK
-        return max(1, min(int(round(self.target_plan_cost_s / cost)), self.max_chunk))
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Observed totals and current predictions, for stats payloads."""
-        return {
-            label: {
-                "models": totals[0],
-                "exec_s": totals[1],
-                "predicted_model_cost_s": self.predict_model_cost_s(label),
-                "chunk_size": self.chunk_size_for(label),
-            }
-            for label, totals in sorted(self._observed.items())
-        }
-
-
 def compile_eval_plans(
     models: Sequence[Union["PingTimeModel", ModelParams]],
     probability: float = DEFAULT_QUANTILE,
     method: str = "inversion",
     chunk_size: Optional[int] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> List[EvalPlan]:
     """Compile a batch of models into executable :class:`EvalPlan` units.
 
@@ -1251,15 +1102,11 @@ def compile_eval_plans(
     each group is cut into chunks; other methods are evaluated per
     model, so they are chunked in batch order.
 
-    Chunk sizing is a pure scheduling knob — per-transform lockstep
-    searches are independent of which other models share their rounds —
-    so every policy yields the same floats.  An explicit ``chunk_size``
-    wins (the legacy equal-count split; :data:`DEFAULT_PLAN_CHUNK` is
-    the historical default); otherwise a ``cost_model`` sizes each
-    group's chunks from its predicted per-model cost, cutting
-    heterogeneous batches into roughly equal-cost plans; with neither,
-    the static :data:`DEFAULT_PLAN_CHUNK` split applies.  Executing the
-    plans in any order, on any executor, yields floats identical to
+    Each chunk holds ``chunk_size`` models, :data:`DEFAULT_PLAN_CHUNK`
+    (read at call time) when not given.  Chunk size never changes an
+    answer — per-transform lockstep searches are independent of which
+    other models share their rounds — so executing the plans in any
+    order, on any executor, yields floats identical to
     ``model.rtt_quantile(probability, method=...)`` per model.
     """
     if not 0.0 < probability < 1.0:
@@ -1268,10 +1115,9 @@ def compile_eval_plans(
         raise ParameterError(
             f"method must be one of {QUANTILE_METHODS}; got {method!r}"
         )
-    if chunk_size is not None:
-        if int(chunk_size) < 1:
-            raise ParameterError("chunk_size must be at least 1")
-        chunk_size = int(chunk_size)
+    size = DEFAULT_PLAN_CHUNK if chunk_size is None else int(chunk_size)
+    if size < 1:
+        raise ParameterError("chunk_size must be at least 1")
     params_list = [
         dict(m) if isinstance(m, Mapping) else model_params(m) for m in models
     ]
@@ -1282,13 +1128,7 @@ def compile_eval_plans(
     else:
         groups[None] = list(range(len(params_list)))
     plans: List[EvalPlan] = []
-    for key, indices in groups.items():
-        if chunk_size is not None:
-            size = chunk_size
-        elif cost_model is not None:
-            size = cost_model.chunk_size_for(_signature_label(method, key))
-        else:
-            size = DEFAULT_PLAN_CHUNK
+    for indices in groups.values():
         for start in range(0, len(indices), size):
             chunk = indices[start : start + size]
             plans.append(
@@ -1316,7 +1156,6 @@ def execute_plan(
     produce the very same floats, which is what makes the plan
     executor-agnostic.
     """
-    started = time.perf_counter()
     if models is None:
         models = plan.build_models()
     else:
@@ -1349,7 +1188,6 @@ def execute_plan(
         stacked_mgf_calls=stacked_calls,
         evaluations=len(models),
         worker_pid=os.getpid(),
-        exec_s=time.perf_counter() - started,
     )
 
 
@@ -1358,7 +1196,6 @@ def batch_rtt_quantiles(
     probability: float = DEFAULT_QUANTILE,
     method: str = "inversion",
     executor=None,
-    cost_model: Optional[CostModel] = None,
 ) -> list:
     """RTT quantiles of several models, batched across the whole stack.
 
@@ -1379,7 +1216,7 @@ def batch_rtt_quantiles(
     models = list(models)
     if not models:
         return []
-    plans = compile_eval_plans(models, probability, method=method, cost_model=cost_model)
+    plans = compile_eval_plans(models, probability, method=method)
     if executor is None:
         results = [
             execute_plan(plan, models=[models[i] for i in plan.indices])

@@ -40,11 +40,9 @@ from .core.dimensioning import (
 from .core.rtt import (
     DEFAULT_QUANTILE,
     QUANTILE_METHODS,
-    CostModel,
     PingTimeModel,
     compile_eval_plans,
     execute_plan,
-    plan_signature,
 )
 from .errors import ParameterError
 from .scenarios.base import Scenario
@@ -108,12 +106,6 @@ class Engine:
         batched cache misses of :meth:`sweep` / :meth:`rtt_quantiles`.
         The default executes the compiled plans in-process against the
         live memoized models; any executor returns the same floats.
-    cost_model:
-        The :class:`~repro.core.rtt.CostModel` sizing the compiled
-        plans (default: a fresh one seeded with static priors).  Every
-        executed plan's measured cost is folded back, so repeat batches
-        chunk to roughly equal-cost plans.  Purely a scheduling knob:
-        any cost model yields bit-identical floats.
     """
 
     def __init__(
@@ -124,7 +116,6 @@ class Engine:
         method: str = "inversion",
         max_models: Optional[int] = None,
         executor=None,
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         if isinstance(scenario, Mapping):
             scenario = Scenario.from_dict(scenario)
@@ -146,7 +137,6 @@ class Engine:
         self.method = method
         self.max_models = None if max_models is None else int(max_models)
         self.executor = executor
-        self.cost_model = CostModel() if cost_model is None else cost_model
         self.stats = EngineStats()
         self._models: "OrderedDict[float, PingTimeModel]" = OrderedDict()
         self._quantiles: Dict[Tuple[float, float, str], float] = {}
@@ -298,9 +288,7 @@ class Engine:
                 missing[key] = model
         if missing:
             missing_models = list(missing.values())
-            plans = compile_eval_plans(
-                missing_models, probability, method=method, cost_model=self.cost_model
-            )
+            plans = compile_eval_plans(missing_models, probability, method=method)
             if self.executor is None:
                 results = [
                     execute_plan(plan, models=[missing_models[i] for i in plan.indices])
@@ -309,10 +297,7 @@ class Engine:
             else:
                 results = self.executor.run(plans)
             values: list = [None] * len(missing_models)
-            for plan, result in zip(plans, results):
-                self.cost_model.observe(
-                    plan_signature(plan), len(plan.indices), result.exec_s
-                )
+            for result in results:
                 self.stats.stacked_mgf_calls += result.stacked_mgf_calls
                 for index, value in zip(result.indices, result.values):
                     values[index] = value

@@ -34,7 +34,7 @@ import os
 import time
 from typing import Iterable, List, Optional, Sequence, Union
 
-from ..core.rtt import CostModel, EvalPlan, PlanResult, execute_plan
+from ..core.rtt import EvalPlan, PlanResult, execute_plan
 from ..errors import ExecutorBrokenError, ExecutorTimeoutError, ParameterError
 from .base import Executor
 
@@ -76,20 +76,13 @@ class ParallelExecutor(Executor):
         — an infinite loop, a stuck syscall — costs one retried window
         instead of wedging the serving path forever.  ``None`` (the
         default) keeps the wait-forever behavior.
-    cost_model:
-        Optional :class:`~repro.core.rtt.CostModel` driving
-        longest-predicted-processing-time-first (LPT) dispatch: plans
-        are *submitted* to the pool in descending predicted cost, so
-        the expensive chunks start first and no worker idles while one
-        tail plan finishes last.  A :class:`~repro.fleet.Fleet` lends
-        its measured model automatically when this is ``None``
-        (:meth:`~repro.fleet.Fleet._share_cost_model`); results are
-        always returned in the callers' plan order, and the floats are
-        identical under any dispatch order.
 
-    The pool is created lazily on the first :meth:`run` /
-    :meth:`run_async` call and persists across calls (a long-running
-    service pays the spawn cost once); :meth:`close` shuts it down.
+    Plans are submitted in plan order, and the pool starts queued work
+    in submission order, so a free worker always takes the next plan;
+    results come back in plan order.  The pool is created lazily on the
+    first :meth:`run` / :meth:`run_async` call and persists across
+    calls (a long-running service pays the spawn cost once);
+    :meth:`close` shuts it down.
     Because every plan is self-contained and every result carries its
     own counters, the answers — and the folded statistics — are
     bit-identical to :class:`SerialExecutor` for any worker count.
@@ -108,7 +101,6 @@ class ParallelExecutor(Executor):
         *,
         mp_context: Union[str, multiprocessing.context.BaseContext, None] = None,
         timeout_s: Optional[float] = None,
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -118,7 +110,6 @@ class ParallelExecutor(Executor):
             raise ParameterError("timeout_s must be positive (or None)")
         self.workers = int(workers)
         self.timeout_s = None if timeout_s is None else float(timeout_s)
-        self.cost_model = cost_model
         if isinstance(mp_context, str):
             mp_context = multiprocessing.get_context(mp_context)
         self._mp_context = mp_context
@@ -138,31 +129,9 @@ class ParallelExecutor(Executor):
     def _submit(
         self, plans: Sequence[EvalPlan]
     ) -> List["concurrent.futures.Future[PlanResult]"]:
-        """Submit the plans, longest predicted processing time first.
-
-        A :class:`~concurrent.futures.ProcessPoolExecutor` starts
-        queued work in submission order, so submitting in descending
-        predicted cost schedules LPT — the expensive chunks can no
-        longer land last and gate the batch tail — while the returned
-        future list stays in the *callers'* plan order (the assembly
-        phase zips results against its plan list positionally).
-        Without a cost model the plans are submitted as given.
-        """
+        """Submit the plans to the pool in plan order."""
         pool = self._ensure_pool()
-        cost_model = self.cost_model
-        if cost_model is None or len(plans) <= 1:
-            return [pool.submit(execute_plan, plan) for plan in plans]
-        order = sorted(
-            range(len(plans)),
-            key=lambda i: cost_model.predict_plan_cost_s(plans[i]),
-            reverse=True,
-        )
-        futures: List[Optional["concurrent.futures.Future[PlanResult]"]] = [
-            None
-        ] * len(plans)
-        for index in order:
-            futures[index] = pool.submit(execute_plan, plans[index])
-        return futures  # type: ignore[return-value]
+        return [pool.submit(execute_plan, plan) for plan in plans]
 
     def _batch_budget_s(self, plan_count: int) -> Optional[float]:
         """The wall-clock budget for a batch, or ``None`` for no bound.

@@ -135,14 +135,9 @@ class RemoteExecutor(Executor):
     loop — asyncio callers (the serving daemon) use :meth:`run_async`,
     which also reuses the per-host keep-alive connections across calls.
 
-    Dispatch is pull-based — each connection takes the next plan when
-    it finishes the last — and *cost-weighted at the tail*: once fewer
-    plans remain than there are pulling connections, a host whose
-    observed mean round trip (``wire_s / plans``) is well above the
-    fastest alive host's stops pulling and leaves the stragglers to the
-    fast hosts, so one slow worker no longer gates the batch tail.  The
-    fastest alive host never declines (no livelock), and placement
-    never changes a served float.
+    Dispatch is a plain pull: each connection takes the next plan when
+    it finishes the last, until the queue is empty.  Placement never
+    changes a served float.
     """
 
     def __init__(
@@ -367,37 +362,6 @@ class RemoteExecutor(Executor):
 
     # -- the run loop ----------------------------------------------------
 
-    #: A host whose observed mean round trip exceeds the fastest alive
-    #: host's by this factor declines tail plans (see _should_yield_tail).
-    _TAIL_SLOWDOWN_RATIO = 2.0
-
-    def _should_yield_tail(
-        self, state: _HostState, queue_len: int, alive_slots: int
-    ) -> bool:
-        """Whether this host should leave the remaining plans to others.
-
-        Cost-weighted pull: in the batch tail — fewer plans left than
-        pulling connections — a host whose observed mean round trip
-        (``wire_s / plans``) is more than ``_TAIL_SLOWDOWN_RATIO`` times
-        the fastest alive host's declines, so the stragglers land on
-        fast hosts instead of gating the batch on the slowest.  Hosts
-        without observations pull optimistically, and the fastest alive
-        host never declines, so the queue always drains (if it dies,
-        the outer run loop re-gathers with a recomputed minimum).
-        """
-        if alive_slots <= 1 or queue_len >= alive_slots:
-            return False
-        if state.plans < 1:
-            return False
-        means = [
-            other.wire_s / other.plans
-            for other in self._hosts
-            if other.down_since is None and other.plans > 0
-        ]
-        if not means:
-            return False
-        return state.wire_s / state.plans > self._TAIL_SLOWDOWN_RATIO * min(means)
-
     async def _drain(
         self,
         state: _HostState,
@@ -405,22 +369,17 @@ class RemoteExecutor(Executor):
         queue: Deque[Tuple[int, EvalPlan, int]],
         results: List[Optional[PlanResult]],
         failures: List[Tuple[_HostState, BaseException]],
-        alive_slots: int = 1,
     ) -> None:
         """One connection's dispatch loop: pull, ship, stamp, repeat.
 
-        Returns normally when the queue runs dry, when the tail policy
-        says faster hosts should finish the stragglers
-        (:meth:`_should_yield_tail`), and when the host fails (after
-        putting its plan back for the survivors); a typed plan error
-        propagates to the caller.
+        Returns normally when the queue runs dry and when the host
+        fails (after putting its plan back for the survivors); a typed
+        plan error propagates to the caller.
         """
         while queue:
             if state.down_since is not None:
                 # A sibling connection to the same host already failed;
                 # stop pulling rather than feed a dead worker.
-                return
-            if self._should_yield_tail(state, len(queue), alive_slots):
                 return
             index, plan, redispatches = queue.popleft()
             frame = encode_plan(plan)
@@ -465,12 +424,9 @@ class RemoteExecutor(Executor):
                     plan_count=len(queue),
                     cause=cause,
                 )
-            alive_slots = len(alive) * self.connections_per_host
             outcomes = await asyncio.gather(
                 *(
-                    self._drain(
-                        state, slot, queue, results, failures, alive_slots
-                    )
+                    self._drain(state, slot, queue, results, failures)
                     for state in alive
                     for slot in range(self.connections_per_host)
                 ),

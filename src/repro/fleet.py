@@ -73,12 +73,10 @@ from .core.dimensioning import AdmissionResult
 from .core.rtt import (
     DEFAULT_QUANTILE,
     QUANTILE_METHODS,
-    CostModel,
     EvalPlan,
     PlanResult,
     compile_eval_plans,
     execute_plan,
-    plan_signature,
 )
 from .engine import Engine
 from .errors import CacheFormatError, ParameterError, ReproError, StabilityError
@@ -391,12 +389,6 @@ class FleetStats:
     hosts: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: host ("local" for in-process pools) -> ExecutorBrokenError count.
     executor_failures: Dict[str, int] = field(default_factory=dict)
-    #: Observed execution cost per factor-signature group:
-    #: :func:`~repro.core.rtt.plan_signature` label -> {"plans", "models",
-    #: "exec_s"} folded from each executed plan's ``exec_s`` stamp.  The
-    #: measured grounding for cost-model plan chunking: exec_s / models
-    #: is the observed per-model cost of that signature.
-    plan_costs: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Admission-control requests served, split by which tier inverted
     #: the load→quantile relation: ``admit_surface`` through a certified
     #: surface's O(1) lookup (zero evaluation plans executed),
@@ -427,10 +419,6 @@ class FleetStats:
             "deduped_inflight": self.deduped_inflight,
             "hosts": {host: dict(entry) for host, entry in self.hosts.items()},
             "executor_failures": dict(self.executor_failures),
-            "plan_costs": {
-                signature: dict(entry)
-                for signature, entry in self.plan_costs.items()
-            },
             "admits": self.admits,
             "admit_surface": self.admit_surface,
             "admit_exact": self.admit_exact,
@@ -533,15 +521,6 @@ class Fleet:
         returns bit-identical floats.
     probability / method:
         Defaults applied to requests that do not carry their own.
-    cost_model:
-        The :class:`~repro.core.rtt.CostModel` sizing compiled plans
-        (default: a fresh one seeded with static priors).  Every
-        executed plan's measured ``exec_s`` is folded back by the
-        assembly phase, so heterogeneous batches converge on
-        equal-cost chunks; the model is shared with the fleet's
-        engines and lent to executors exposing a ``cost_model``
-        attribute (LPT dispatch).  Purely a scheduling knob: any cost
-        model yields bit-identical floats.
     """
 
     def __init__(
@@ -551,7 +530,6 @@ class Fleet:
         max_engines: int = 64,
         probability: float = DEFAULT_QUANTILE,
         method: str = "inversion",
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         if int(max_cache_entries) < 1:
             raise ParameterError("max_cache_entries must be at least 1")
@@ -567,7 +545,6 @@ class Fleet:
         self.max_engines = int(max_engines)
         self.probability = float(probability)
         self.method = method
-        self.cost_model = CostModel() if cost_model is None else cost_model
         self.stats = FleetStats()
         self._cache: "OrderedDict[_CacheKey, float]" = OrderedDict()
         self._engines: "OrderedDict[str, Engine]" = OrderedDict()
@@ -673,7 +650,6 @@ class Fleet:
                 scenario,
                 probability=self.probability,
                 method=self.method,
-                cost_model=self.cost_model,
             )
             self._engines[key] = engine
             self._scenarios[key] = scenario
@@ -882,9 +858,7 @@ class Fleet:
                 {**misses[key][0].model_kwargs(), "num_gamers": misses[key][1]}
                 for key in keys
             ]
-            for plan in compile_eval_plans(
-                params, probability, method=method, cost_model=self.cost_model
-            ):
+            for plan in compile_eval_plans(params, probability, method=method):
                 eval_plans.append(plan)
                 plan_keys.append([keys[i] for i in plan.indices])
         return _BatchPlan(
@@ -952,29 +926,12 @@ class Fleet:
         self._prune_scenarios()
         return item.answer(value, cached=True)
 
-    def _share_cost_model(self, executor) -> None:
-        """Lend this fleet's cost model to an executor without one.
-
-        Executors exposing a ``cost_model`` attribute (the local
-        process pool's LPT dispatch) get the fleet's measured model, so
-        their predicted-cost ordering sees every observation the
-        assembly phase folds back.  Purely scheduling: results remain
-        plan-ordered and bit-identical.
-        """
-        if (
-            executor is not None
-            and hasattr(executor, "cost_model")
-            and executor.cost_model is None
-        ):
-            executor.cost_model = self.cost_model
-
     def _execute_plans(
         self, plans: Sequence[EvalPlan], executor=None
     ) -> List[PlanResult]:
         """Phase 2: run the compiled plans (in-process without an executor)."""
         if executor is None:
             return [execute_plan(plan) for plan in plans]
-        self._share_cost_model(executor)
         return executor.run(plans)
 
     def _assemble(
@@ -983,9 +940,7 @@ class Fleet:
         """Phase 3: merge the plan results back through the shared cache."""
         values = batch_plan.values
         own_pid = os.getpid()
-        for keys, plan, result in zip(
-            batch_plan.plan_keys, batch_plan.eval_plans, results
-        ):
+        for keys, result in zip(batch_plan.plan_keys, results):
             self.stats.plans_executed += 1
             if result.worker_pid != own_pid:
                 self.stats.remote_plans += 1
@@ -996,14 +951,6 @@ class Fleet:
                 entry["plans"] += 1
                 entry["redispatches"] += result.redispatches
                 entry["wire_s"] += result.wire_s
-            signature = plan_signature(plan)
-            cost = self.stats.plan_costs.setdefault(
-                signature, {"plans": 0, "models": 0, "exec_s": 0.0}
-            )
-            cost["plans"] += 1
-            cost["models"] += len(plan.indices)
-            cost["exec_s"] += result.exec_s
-            self.cost_model.observe(signature, len(plan.indices), result.exec_s)
             self.stats.evaluations += result.evaluations
             self.stats.stacked_mgf_calls += result.stacked_mgf_calls
             for key, value in zip(keys, result.values):
@@ -1375,7 +1322,6 @@ class AsyncFleet:
                 None, fleet._execute_plans, batch_plan.eval_plans
             )
         else:
-            fleet._share_cost_model(executor)
             results = await executor.run_async(batch_plan.eval_plans)
         answers = fleet._assemble(batch_plan, results)
         if not admits:

@@ -1,15 +1,12 @@
 """Scenario definitions, presets and parameter sweeps (Section 4)."""
 
 from .base import Scenario
-from .dsl import (
-    DslScenario,
+from .mix import MixComponent, MixScenario, ScenarioLike
+from .registry import (
     PAPER_BASELINE,
     PAPER_ERLANG_ORDERS,
     PAPER_SERVER_PACKET_SIZES,
     PAPER_TICK_INTERVALS_S,
-)
-from .mix import MixComponent, MixScenario, ScenarioLike
-from .registry import (
     SCENARIO_PRESETS,
     available_scenarios,
     get_scenario,
@@ -20,7 +17,6 @@ from .sweep import SweepPoint, SweepSeries, default_load_grid, sweep_loads
 
 __all__ = [
     "Scenario",
-    "DslScenario",
     "MixComponent",
     "MixScenario",
     "ScenarioLike",

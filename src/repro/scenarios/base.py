@@ -269,10 +269,6 @@ class Scenario(ScenarioSerializationMixin):
         """The scenario as :class:`PingTimeModel` keyword arguments."""
         return self.to_dict()
 
-    # Backwards-compatible aliases (the pre-redesign DslScenario API).
-    _model_kwargs = model_kwargs
-    dimensioning_kwargs = model_kwargs
-
     def model_at_load(self, downlink_load: float) -> PingTimeModel:
         """RTT model at the given downlink load on the aggregation link."""
         return PingTimeModel.from_downlink_load(downlink_load, **self.model_kwargs())

@@ -35,16 +35,33 @@ from typing import Dict, List, Union
 
 from ..traffic.games import counter_strike, half_life, halo, quake3, unreal_tournament
 from .base import Scenario
-from .dsl import PAPER_BASELINE
 from .mix import MixScenario, ScenarioLike
 
 __all__ = [
+    "PAPER_BASELINE",
+    "PAPER_ERLANG_ORDERS",
+    "PAPER_SERVER_PACKET_SIZES",
+    "PAPER_TICK_INTERVALS_S",
     "SCENARIO_PRESETS",
     "register_scenario",
     "get_scenario",
     "available_scenarios",
     "scenario_from_spec",
 ]
+
+#: The Erlang orders examined in Section 4.
+PAPER_ERLANG_ORDERS = (2, 9, 20)
+
+#: The tick intervals examined in Section 4 (seconds).
+PAPER_TICK_INTERVALS_S = (0.040, 0.060)
+
+#: The server packet sizes examined in Section 4 (bytes).
+PAPER_SERVER_PACKET_SIZES = (75.0, 100.0, 125.0)
+
+#: The Section 4 DSL scenario, the baseline of Figure 3 (P_S = 125 byte,
+#: T = 60 ms): the paper's fixed values are exactly the defaults of
+#: :class:`Scenario`.
+PAPER_BASELINE = Scenario()
 
 
 def _game_presets() -> Dict[str, Scenario]:

@@ -60,6 +60,13 @@ class TestCompileEvalPlans:
         assert [len(plan) for plan in plans] == [3, 3, 1]
         assert all(len(p) <= DEFAULT_PLAN_CHUNK for p in compile_eval_plans(models, PROBABILITY))
 
+    def test_default_split_reads_the_constant_at_call_time(self, monkeypatch):
+        import repro.core.rtt as rtt
+
+        models = [get_scenario("paper-dsl").model_at_load(0.1 + 0.02 * i) for i in range(5)]
+        monkeypatch.setattr(rtt, "DEFAULT_PLAN_CHUNK", 2)
+        assert [len(plan) for plan in compile_eval_plans(models, PROBABILITY)] == [2, 2, 1]
+
     def test_accepts_parameter_mappings(self):
         model = get_scenario("cable").model_at_load(0.5)
         [plan] = compile_eval_plans([model_params(model)], PROBABILITY)
@@ -182,6 +189,19 @@ class TestParallelExecutor:
             r.stacked_mgf_calls for r in serial
         ]
         assert all(r.worker_pid != os.getpid() for r in results)
+
+    def test_results_come_back_in_plan_order(self):
+        models = [
+            get_scenario(preset).model_at_load(load)
+            for preset in ("paper-dsl", "halo", "multi-game-dsl")
+            for load in (0.35, 0.55)
+        ]
+        plans = compile_eval_plans(models, PROBABILITY, chunk_size=1)
+        serial = SerialExecutor().run(plans)
+        with ParallelExecutor(workers=2) as executor:
+            results = executor.run(plans)
+        assert [r.indices for r in results] == [p.indices for p in plans]
+        assert [r.values for r in results] == [r.values for r in serial]
 
     def test_run_async_wraps_pool_futures(self):
         models = _models(loads=(0.4,))

@@ -10,6 +10,7 @@ host identity and stranded-plan count.
 
 import asyncio
 import contextlib
+from collections import Counter
 
 import pytest
 
@@ -345,72 +346,33 @@ class TestFailover:
         assert error.host is not None
 
 
-class TestWeightedTailPull:
-    """The cost-weighted pull: slow hosts decline the batch tail."""
+class TestPlainPull:
+    """Each connection pulls the next plan until the queue is empty."""
 
-    def _executor_with_observed(self, means):
-        """An executor whose hosts have the given mean wire times."""
-        executor = RemoteExecutor(
-            ",".join(f"h{i}:{1000 + i}" for i in range(len(means)))
-        )
-        for state, mean in zip(executor._hosts, means):
-            state.plans = 10
-            state.wire_s = 10 * mean
-        return executor
-
-    def test_slow_host_yields_only_in_the_tail(self):
-        executor = self._executor_with_observed([0.01, 0.05])
-        slow = executor._hosts[1]
-        # Plenty of work left: everyone pulls.
-        assert not executor._should_yield_tail(slow, queue_len=5, alive_slots=2)
-        # Tail: the 5x-slower host leaves the stragglers to the fast one.
-        assert executor._should_yield_tail(slow, queue_len=1, alive_slots=2)
-
-    def test_fastest_host_never_yields(self):
-        executor = self._executor_with_observed([0.01, 0.05])
-        fast = executor._hosts[0]
-        assert not executor._should_yield_tail(fast, queue_len=1, alive_slots=2)
-
-    def test_unobserved_hosts_pull_optimistically(self):
-        executor = self._executor_with_observed([0.01, 0.05])
-        executor._hosts[1].plans = 0
-        executor._hosts[1].wire_s = 0.0
-        cold = executor._hosts[1]
-        assert not executor._should_yield_tail(cold, queue_len=1, alive_slots=2)
-
-    def test_down_hosts_do_not_skew_the_minimum(self):
-        executor = self._executor_with_observed([0.001, 0.05, 0.06])
-        executor._hosts[0].down_since = 1.0  # the fast host died
-        survivor = executor._hosts[1]
-        # Against the remaining alive means, 0.05 is not 2x slower.
-        assert not executor._should_yield_tail(survivor, queue_len=1, alive_slots=2)
-
-    def test_single_slot_never_yields(self):
-        executor = self._executor_with_observed([0.05])
-        assert not executor._should_yield_tail(
-            executor._hosts[0], queue_len=1, alive_slots=1
-        )
-
-    def test_tail_policy_keeps_results_bit_identical(self):
+    def test_mixed_speed_hosts_answer_every_plan_bit_identically(self):
         plans = make_plans(loads=(0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
         serial = [execute_plan(plan) for plan in plans]
 
         async def scenario(daemons):
             executor = RemoteExecutor([f"127.0.0.1:{d.port}" for d in daemons])
             # Pre-bias the observations so host 0 looks 100x slower:
-            # the tail-yield branch runs, the answers must not change.
+            # the pull ignores them, and every plan is still answered.
             executor._hosts[0].plans = 10
             executor._hosts[0].wire_s = 10.0
             executor._hosts[1].plans = 10
             executor._hosts[1].wire_s = 0.1
             try:
-                return await executor.run_async(plans)
+                results = await executor.run_async(plans)
+                return results, executor.host_stats()
             finally:
                 executor.close()
 
-        results = run_distributed(scenario, workers=2)
+        results, stats = run_distributed(scenario, workers=2)
         assert [r.values for r in results] == [r.values for r in serial]
         assert [r.indices for r in results] == [r.indices for r in serial]
+        pulled = {host: entry["plans"] - 10 for host, entry in stats.items()}
+        assert sum(pulled.values()) == len(plans)
+        assert pulled == dict(Counter(r.host for r in results))
 
 
 class TestFleetIntegration:
@@ -444,31 +406,3 @@ class TestFleetIntegration:
         as_dict = stats.as_dict()
         assert as_dict["hosts"] == stats.hosts
         assert "executor_failures" in as_dict
-
-    def test_remote_results_train_the_fleet_cost_model(self):
-        # Host-stamped results folded by _assemble must land in both
-        # the plan_costs stats and the fleet's CostModel, so remote
-        # batches train the chunking policy exactly like local ones.
-        requests = [
-            Request("paper-dsl", downlink_load=load) for load in (0.3, 0.4, 0.5)
-        ]
-
-        async def scenario(daemons):
-            executor = RemoteExecutor([f"127.0.0.1:{d.port}" for d in daemons])
-            fleet = Fleet()
-            try:
-                answers = await AsyncFleet(fleet).serve_async(
-                    requests, executor=executor
-                )
-                return answers, fleet
-            finally:
-                executor.close()
-
-        answers, fleet = run_distributed(scenario, workers=2)
-        assert len(answers) == len(requests)
-        assert sum(e["plans"] for e in fleet.stats.hosts.values()) > 0
-        entry = fleet.cost_model.as_dict()["inversion/K9"]
-        assert entry["models"] == len(requests)
-        assert entry["exec_s"] > 0.0
-        cost = fleet.stats.plan_costs["inversion/K9"]
-        assert cost["models"] == entry["models"]

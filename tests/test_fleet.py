@@ -684,49 +684,3 @@ class TestServeExecutor:
         assert all(a.cached for a in warm)
         assert fleet.stats.plans_executed == plans_before
         assert fleet.stats.remote_plans == 0  # the pool never spun up
-
-
-class TestPlanCosts:
-    def test_costs_keyed_by_signature(self):
-        fleet = Fleet()
-        fleet.serve(_mixed_requests(loads=(0.4,)))
-        costs = fleet.stats.plan_costs
-        assert costs  # at least one signature
-        for signature, cost in costs.items():
-            assert signature.startswith("inversion/K")
-            assert cost["plans"] >= 1
-            assert cost["models"] >= cost["plans"]
-            assert cost["exec_s"] >= 0.0
-        assert sum(c["plans"] for c in costs.values()) == fleet.stats.plans_executed
-
-    def test_mix_requests_use_the_mix_signature(self):
-        fleet = Fleet()
-        fleet.serve([Request("multi-game-dsl", downlink_load=0.5)])
-        assert any(
-            signature.startswith("inversion/mix-K")
-            for signature in fleet.stats.plan_costs
-        )
-
-    def test_stats_dict_includes_plan_costs(self):
-        fleet = Fleet()
-        fleet.serve([Request("paper-dsl", downlink_load=0.4)])
-        payload = fleet.stats.as_dict()
-        assert "plan_costs" in payload
-        assert payload["plan_costs"] == fleet.stats.plan_costs
-
-    def test_non_inversion_methods_get_their_own_bucket(self):
-        fleet = Fleet()
-        fleet.serve([Request("paper-dsl", downlink_load=0.4, method="chernoff")])
-        assert "chernoff" in fleet.stats.plan_costs
-
-    def test_plan_signature_shapes(self):
-        from repro.core.rtt import compile_eval_plans, plan_signature
-        from repro.engine import Engine
-
-        model = Engine(get_scenario("paper-dsl")).model_at_load(0.4)
-        plans = compile_eval_plans([model], 0.99999, "inversion")
-        assert all(
-            plan_signature(plan).startswith("inversion/K") for plan in plans
-        )
-        plans = compile_eval_plans([model], 0.99999, "chernoff")
-        assert all(plan_signature(plan) == "chernoff" for plan in plans)

@@ -1,7 +1,9 @@
 """Tests for the package surface (exports, CLI module) and report helpers."""
 
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,37 @@ class TestPackageSurface:
         )
         assert result.returncode == 0
         assert "fps-ping" in result.stdout
+
+
+class TestPyproject:
+    """The install metadata that provides the ``fps-ping`` command."""
+
+    @pytest.fixture(scope="class")
+    def project(self):
+        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with path.open("rb") as handle:
+            return tomllib.load(handle)
+
+    def test_console_script_resolves_to_the_cli(self, project):
+        target = project["project"]["scripts"]["fps-ping"]
+        assert target == "repro.cli:main"
+        module, _, attribute = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attribute))
+
+    def test_version_matches_the_package(self, project):
+        assert project["project"]["name"] == "fps-ping"
+        assert project["project"]["version"] == repro.__version__
+
+    def test_declares_python_floor_and_runtime_dependencies(self, project):
+        assert project["project"]["requires-python"] == ">=3.10"
+        assert sorted(project["project"]["dependencies"]) == ["numpy", "scipy"]
+
+    def test_packages_are_found_under_src(self, project):
+        assert project["build-system"]["build-backend"] == "setuptools.build_meta"
+        assert project["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
+        root = Path(__file__).resolve().parents[1]
+        assert (root / "src" / "repro" / "__init__.py").is_file()
 
 
 class TestReportFormatting:

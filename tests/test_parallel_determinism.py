@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from repro.core.rtt import CostModel, QUANTILE_METHODS
+import repro.core.rtt as rtt
+from repro.core.rtt import QUANTILE_METHODS
 from repro.executors import ParallelExecutor
 from repro.fleet import Fleet, FleetStats, Request
 from repro.scenarios import available_scenarios
@@ -37,27 +38,15 @@ _FOLDED_FIELDS = (
 )
 
 
-def _serve(requests, workers=None, cost_model=None):
+def _serve(requests, workers=None):
     """Serve a fresh fleet serially (workers=None) or on a pool."""
-    fleet = Fleet() if cost_model is None else Fleet(cost_model=cost_model)
+    fleet = Fleet()
     if workers is None:
         answers = fleet.serve(requests)
     else:
         with ParallelExecutor(workers=workers) as executor:
             answers = fleet.serve(requests, executor=executor)
     return fleet, answers
-
-
-def _aggressive_cost_model():
-    """A non-default policy: tiny target, pre-trained on one signature.
-
-    Produces chunk sizes far from the legacy 32-model split (near-singleton
-    plans for trained signatures, priors elsewhere) and triggers the
-    parallel executor's LPT dispatch path.
-    """
-    model = CostModel(target_plan_cost_s=5e-4)
-    model.observe("inversion/K9", models=4, exec_s=4 * 2e-3)
-    return model
 
 
 def _assert_folded_stats_match(serial: FleetStats, other: FleetStats) -> None:
@@ -85,6 +74,15 @@ class TestQuickDeterminism:
         _assert_folded_stats_match(serial_fleet.stats, parallel_fleet.stats)
         assert serial_fleet.stats.remote_plans == 0
         assert parallel_fleet.stats.remote_plans > 0
+
+    def test_single_model_plans_are_bit_identical(self, monkeypatch):
+        _, reference = _serve(self.REQUESTS)
+        monkeypatch.setattr(rtt, "DEFAULT_PLAN_CHUNK", 1)
+        fleet, answers = _serve(self.REQUESTS)
+        assert [a.rtt_quantile_s for a in answers] == [
+            a.rtt_quantile_s for a in reference
+        ]
+        assert fleet.stats.plans_executed == len(self.REQUESTS)
 
     def test_worker_fold_arithmetic_is_consistent(self):
         fleet, answers = _serve(self.REQUESTS, workers=2)
@@ -129,19 +127,21 @@ class TestFullDeterminism:
             assert fleet.stats.remote_plans > 0
 
     @pytest.mark.parametrize("method", QUANTILE_METHODS)
-    def test_all_presets_bit_identical_under_a_nondefault_cost_policy(self, method):
-        # Same sweep, chunked by an aggressive measured cost policy and
-        # dispatched LPT: still bit-identical to the default serial run.
+    def test_all_presets_bit_identical_under_small_plan_chunks(
+        self, method, monkeypatch
+    ):
+        # Same sweep, cut into two-model plans: chunking never changes
+        # an answer, serially or on a pool.
         requests = self._requests(method)
-        _, serial = _serve(requests)
+        serial_fleet, serial = _serve(requests)
         reference = [a.rtt_quantile_s for a in serial]
+        monkeypatch.setattr(rtt, "DEFAULT_PLAN_CHUNK", 2)
         for workers in (None, 3):
-            fleet, answers = _serve(
-                requests, workers=workers, cost_model=_aggressive_cost_model()
-            )
+            fleet, answers = _serve(requests, workers=workers)
             assert [a.rtt_quantile_s for a in answers] == reference, (
                 f"method={method}, workers={workers}"
             )
+            assert fleet.stats.plans_executed > serial_fleet.stats.plans_executed
 
     def test_mixed_method_stream_is_deterministic(self):
         requests = [

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.scenarios
+from repro.scenarios import registry
 from repro.scenarios import (
     SCENARIO_PRESETS,
     PAPER_BASELINE,
@@ -41,6 +43,30 @@ class TestLookup:
         # lossless — Scenario.from_dict dispatches mixes transparently.
         for name, preset in SCENARIO_PRESETS.items():
             assert Scenario.from_dict(preset.to_dict()) == preset, name
+
+
+class TestPaperConstants:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "PAPER_BASELINE",
+            "PAPER_ERLANG_ORDERS",
+            "PAPER_SERVER_PACKET_SIZES",
+            "PAPER_TICK_INTERVALS_S",
+        ],
+    )
+    def test_package_re_exports_the_registry_constant(self, name):
+        assert name in registry.__all__
+        assert name in repro.scenarios.__all__
+        assert getattr(repro.scenarios, name) is getattr(registry, name)
+
+    def test_baseline_sits_on_the_paper_grid(self):
+        assert registry.PAPER_ERLANG_ORDERS == (2, 9, 20)
+        assert registry.PAPER_TICK_INTERVALS_S == (0.040, 0.060)
+        assert registry.PAPER_SERVER_PACKET_SIZES == (75.0, 100.0, 125.0)
+        assert PAPER_BASELINE.erlang_order in registry.PAPER_ERLANG_ORDERS
+        assert PAPER_BASELINE.tick_interval_s in registry.PAPER_TICK_INTERVALS_S
+        assert PAPER_BASELINE.server_packet_bytes in registry.PAPER_SERVER_PACKET_SIZES
 
 
 class TestAccessProfiles:
