@@ -7,7 +7,6 @@ from .downstream import (
     MultiServerBurstQueue,
     PacketPositionDelay,
     ServerFlow,
-    solve_all_roots,
     solve_root,
 )
 from .bounds import DeterministicRttBound
@@ -39,7 +38,6 @@ __all__ = [
     "MultiServerBurstQueue",
     "PacketPositionDelay",
     "ServerFlow",
-    "solve_all_roots",
     "solve_root",
     "DeterministicRttBound",
     "DEFAULT_QUANTILE",

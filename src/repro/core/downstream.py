@@ -9,27 +9,45 @@ derived:
   residual work of previous bursts (Section 3.2.1).  Its transform is a
   constant plus ``K`` simple poles: the poles follow from the roots
   ``zeta_k`` of ``z = exp((z-1)/rho + 2*pi*i*(k-1)/K)`` inside the unit
-  disc (eq. (26), Appendix C) through ``alpha_k = beta*(1-zeta_k)``
-  (eq. (25)), and the weights are the Vandermonde solution
+  disc (eq. (26)) through ``alpha_k = beta*(1-zeta_k)`` (eq. (25)), and
+  the weights are the Vandermonde solution
   ``a_j = zeta_j^K * prod_{k != j} (zeta_k - 1)/(zeta_k - zeta_j)``
   (eq. (27), Appendix D);
 * the **packet-position delay** — the time to transmit the packets that
   sit in front of the tagged packet within its own burst
   (Section 3.2.2).  For a uniformly positioned packet this is an equal
   mixture of Erlang(1..K-1) with the burst rate ``beta`` (eq. (34)).
+
+The roots of eq. (26) have a closed form.  Writing ``z = -rho * w``
+turns the equation into ``w * exp(w) = -exp(-1/rho + 2*pi*i*(k-1)/K) / rho``,
+whose argument lies strictly inside the disc ``|x| < 1/e`` for
+``rho < 1``; there the principal branch ``W_0`` of the Lambert W
+function is analytic with ``|W_0(x)| < 1``, so
+
+    ``zeta_k = -rho * W_0(-exp(-1/rho + 2*pi*i*(k-1)/K) / rho)``
+
+is the unique root of branch ``k`` inside the unit disc, the root
+Appendix C reaches by fixed-point iteration (for ``k = 1`` the branch
+``W_{-1}`` gives the trivial root ``z = 1``).  See R. M. Corless et al., "On the Lambert W function",
+Adv. Comput. Math. 5 (1996), and A. J. E. M. Janssen and
+J. S. H. van Leeuwaarden, "Analytic computation schemes for the
+discrete-time bulk service queue", Queueing Systems 50 (2005).
+:func:`solve_root` evaluates it for a whole vector of loads in one
+``scipy.special.lambertw`` call; ``lambertw`` is elementwise, so a
+load's roots are the same floats whatever else shares the call.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
+from scipy.special import lambertw
 
-from ..errors import ConvergenceError, ParameterError, StabilityError
+from ..errors import ParameterError, StabilityError
 from ..units import require_positive
 from .mgf import ErlangTerm, ErlangTermSum
 
@@ -39,41 +57,47 @@ __all__ = [
     "MultiServerBurstQueue",
     "ServerFlow",
     "solve_root",
-    "solve_all_roots",
 ]
 
-_MAX_ITERATIONS = 100_000
-_ROOT_TOLERANCE = 1e-14
 
+def solve_root(loads, order: int) -> np.ndarray:
+    """The roots ``zeta_1..zeta_K`` of eq. (26) for every load, in one call.
 
-def solve_root(load: float, order: int, branch: int) -> complex:
-    """Solve ``z = exp((z-1)/load + 2*pi*i*branch/order)`` inside ``|z| < 1``.
-
-    Appendix C proves each branch has exactly one root in the half plane
-    ``Re[z] < 1`` (which then automatically satisfies ``|z| < 1``) and
-    that the fixed-point iteration started at ``z = 0`` converges to it.
+    Returns a complex array of shape ``(len(loads), order)``: row ``i``
+    holds the ``K`` roots inside the unit disc for ``loads[i]``, with
+    ``zeta_k`` in column ``k - 1``.  Each entry is the Lambert W closed
+    form of the module docstring, evaluated elementwise, so row ``i``
+    is bit-identical to ``solve_root(loads[i:i+1], order)[0]``.
     """
-    if not 0.0 < load < 1.0:
-        raise StabilityError(load)
+    loads = np.asarray(loads, dtype=float).reshape(-1)
     if order < 1:
         raise ParameterError("Erlang order must be >= 1")
-    phase = 2.0j * math.pi * branch / order
-    z = 0.0 + 0.0j
-    for iteration in range(_MAX_ITERATIONS):
-        z_next = cmath.exp((z - 1.0) / load + phase)
-        if abs(z_next - z) <= _ROOT_TOLERANCE * max(1.0, abs(z_next)):
-            return z_next
-        z = z_next
-    raise ConvergenceError(
-        f"fixed-point iteration for root (load={load}, order={order}, branch={branch}) "
-        f"did not converge",
-        iterations=_MAX_ITERATIONS,
-    )
+    unstable = loads[~((loads > 0.0) & (loads < 1.0))]
+    if unstable.size:
+        raise StabilityError(float(unstable[0]))
+    phases = 2.0 * np.pi * np.arange(order) / order
+    rho = loads[:, None]
+    arguments = -np.exp(-1.0 / rho + 1j * phases) / rho
+    return -rho * lambertw(arguments)
 
 
-def solve_all_roots(load: float, order: int) -> List[complex]:
-    """All ``K`` roots ``zeta_1..zeta_K`` of eq. (26) inside the unit disc."""
-    return [solve_root(load, order, branch) for branch in range(order)]
+def _weights(roots: np.ndarray, order: int) -> np.ndarray:
+    """The weights ``a_j`` of eq. (27) for each row of roots, as one array product.
+
+    ``roots`` has shape ``(n, K)``; row ``i`` of the result holds
+    ``zeta_j^K * prod_{k != j} (zeta_k - 1)/(zeta_k - zeta_j)``.  At very
+    low load ``zeta_j^K`` underflows to zero while the product divides
+    by ``zeta_k - zeta_j = 0`` or overflows; the true weight is then of
+    the order of ``|zeta_j|`` (below 1e-16), so it is taken as exactly
+    zero.
+    """
+    powers = roots**order
+    diagonal = np.arange(order)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = (roots - 1.0)[:, None, :] / (roots[:, None, :] - roots[:, :, None])
+        ratios[:, diagonal, diagonal] = 1.0
+        weights = powers * ratios.prod(axis=-1)
+    return np.where(powers == 0.0, 0.0, weights)
 
 
 @dataclass(frozen=True)
@@ -122,7 +146,25 @@ class DEKOneQueue:
     @cached_property
     def roots(self) -> List[complex]:
         """The roots ``zeta_1..zeta_K`` of eq. (26)."""
-        return solve_all_roots(self.load, self.order)
+        return solve_root([self.load], self.order)[0].tolist()
+
+    @staticmethod
+    def solve_roots(queues: Iterable["DEKOneQueue"]) -> None:
+        """Solve the roots and weights of many queues, one kernel call per order.
+
+        Fills each queue's cached :attr:`roots` and :attr:`weights`
+        (queues already solved are skipped) with the floats the queue
+        would compute alone: both kernels are elementwise over loads.
+        """
+        pending: Dict[int, List[DEKOneQueue]] = {}
+        for queue in queues:
+            if "roots" not in queue.__dict__:
+                pending.setdefault(queue.order, []).append(queue)
+        for order, group in pending.items():
+            roots = solve_root([queue.load for queue in group], order)
+            for queue, row, weights in zip(group, roots, _weights(roots, order)):
+                queue.__dict__["roots"] = row.tolist()
+                queue.__dict__["weights"] = weights.tolist()
 
     @cached_property
     def poles(self) -> List[complex]:
@@ -132,27 +174,8 @@ class DEKOneQueue:
 
     @cached_property
     def weights(self) -> List[complex]:
-        """The weights ``a_j`` of eq. (27).
-
-        At very low load ``zeta_j^K`` underflows to zero while the
-        product divides by ``zeta_k - zeta_j = 0`` or overflows; the
-        true weight is then of the order of ``|zeta_j|`` (below 1e-16),
-        so it is taken as exactly zero.
-        """
-        zetas = self.roots
-        weights: List[complex] = []
-        for j, zeta_j in enumerate(zetas):
-            power = zeta_j**self.order
-            if power == 0.0:
-                weights.append(0j)
-                continue
-            product = 1.0 + 0.0j
-            for k, zeta_k in enumerate(zetas):
-                if k == j:
-                    continue
-                product *= (zeta_k - 1.0) / (zeta_k - zeta_j)
-            weights.append(power * product)
-        return weights
+        """The weights ``a_j`` of eq. (27) (see :func:`_weights`)."""
+        return _weights(np.array([self.roots]), self.order)[0].tolist()
 
     # ------------------------------------------------------------------
     # Waiting-time distribution of a burst

@@ -589,26 +589,28 @@ def tails_from_mgfs(
 
 
 def _per_transform(
+    probability: Union[float, Sequence[float]],
     scale_hints: Union[float, Sequence[float]],
     atoms_at_zero: Optional[Sequence[Optional[float]]],
     count: int,
-) -> tuple[List[float], List[Optional[float]]]:
-    """One scale hint and one (possibly unknown) atom per transform."""
-    if np.isscalar(scale_hints):
-        hints = [float(scale_hints)] * count
-    else:
-        hints = [float(h) for h in scale_hints]
+) -> tuple[List[float], List[float], List[Optional[float]]]:
+    """One quantile level, scale hint and (possibly unknown) atom per transform."""
+    levels, hints = (
+        [float(value)] * count if np.isscalar(value) else [float(v) for v in value]
+        for value in (probability, scale_hints)
+    )
     atoms = [None] * count if atoms_at_zero is None else list(atoms_at_zero)
-    if len(hints) != count or len(atoms) != count:
+    if len(levels) != count or len(hints) != count or len(atoms) != count:
         raise ParameterError(
-            "scale_hints and atoms_at_zero must match the number of transforms"
+            "probability, scale_hints and atoms_at_zero must match the number "
+            "of transforms"
         )
-    return hints, atoms
+    return levels, hints, atoms
 
 
 def quantiles_from_mgfs(
     mgfs: Sequence[Callable[[complex], complex]],
-    probability: float,
+    probability: Union[float, Sequence[float]],
     scale_hints: Union[float, Sequence[float]],
     atoms_at_zero: Optional[Sequence[Optional[float]]] = None,
     tolerance: float = 1e-10,
@@ -617,7 +619,9 @@ def quantiles_from_mgfs(
 ) -> List[float]:
     """Quantiles of many transforms through the stacked lockstep search.
 
-    Every transform gets its own :func:`_quantile_search` generator, and
+    ``probability`` is one quantile level for every transform or a
+    sequence with one level each.  Every transform gets its own
+    :func:`_quantile_search` generator, run to its own level, and
     one plain loop advances them all: each round gathers the pending
     tail point of every unfinished search, evaluates them with a single
     :func:`_stacked_tail_rows` call and sends each search its value.
@@ -632,13 +636,15 @@ def quantiles_from_mgfs(
     :func:`quantiles_from_mgf`.
     """
     mgfs = list(mgfs)
-    hints, atoms = _per_transform(scale_hints, atoms_at_zero, len(mgfs))
+    levels, hints, atoms = _per_transform(
+        probability, scale_hints, atoms_at_zero, len(mgfs)
+    )
     if stack_eval is None:
-        return quantiles_from_mgf(
-            mgfs, probability, hints, atoms, tolerance=tolerance
-        )
+        return quantiles_from_mgf(mgfs, levels, hints, atoms, tolerance=tolerance)
 
-    searches = [_quantile_search(probability, hint, tolerance) for hint in hints]
+    searches = [
+        _quantile_search(level, hint, tolerance) for level, hint in zip(levels, hints)
+    ]
     caches: List[Dict[float, float]] = [{} for _ in mgfs]
     results = [0.0] * len(mgfs)
     pending: Dict[int, float] = {}
@@ -842,7 +848,7 @@ def _brentq_steps(
 
 def quantiles_from_mgf(
     mgfs: Sequence[Callable[[complex], complex]],
-    probability: float,
+    probability: Union[float, Sequence[float]],
     scale_hints: Union[float, Sequence[float]],
     atoms_at_zero: Optional[Sequence[Optional[float]]] = None,
     tolerance: float = 1e-10,
@@ -858,10 +864,10 @@ def quantiles_from_mgf(
     grid.
     """
     mgfs = list(mgfs)
-    hints, atoms = _per_transform(scale_hints, atoms_at_zero, len(mgfs))
+    levels, hints, atoms = _per_transform(
+        probability, scale_hints, atoms_at_zero, len(mgfs)
+    )
     return [
-        quantile_from_mgf(
-            mgf, probability, hint, tolerance=tolerance, atom_at_zero=atom
-        )
-        for mgf, hint, atom in zip(mgfs, hints, atoms)
+        quantile_from_mgf(mgf, level, hint, tolerance=tolerance, atom_at_zero=atom)
+        for mgf, level, hint, atom in zip(mgfs, levels, hints, atoms)
     ]

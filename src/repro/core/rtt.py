@@ -601,8 +601,14 @@ class PingTimeModel(ComposedRttModel):
         return self.upstream_queue().waiting_time()
 
     @cached_property
+    def _burst_queue(self) -> DEKOneQueue:
+        # Kept so execute_plan can solve the roots of all its models at
+        # once before their burst transforms are built.
+        return self.downstream_queue()
+
+    @cached_property
     def _burst_terms(self) -> ErlangTermSum:
-        return self.downstream_queue().waiting_time()
+        return self._burst_queue.waiting_time()
 
     @cached_property
     def _position_terms(self) -> ErlangTermSum:
@@ -915,7 +921,11 @@ class QueueingMgfStack:
             rates = np.array([[t.rate for t in s.terms] for s in sums], dtype=complex)
             orders = np.array([[t.order for t in s.terms] for s in sums], dtype=float)
             atoms = np.array([s.atom for s in sums], dtype=complex)
-            self._factors.append((coefficients, rates, orders, atoms))
+            # numpy's complex power returns x ** 1 exactly, so factors of
+            # simple poles (upstream, burst) skip it without moving a bit.
+            self._factors.append(
+                (coefficients, rates, None if (orders == 1.0).all() else orders, atoms)
+            )
         self.array_calls = 0
 
     #: The factor order must match PingTimeModel.queueing_mgf's product.
@@ -947,12 +957,13 @@ class QueueingMgfStack:
             if coefficients.shape[1] == 0:
                 factor = np.broadcast_to(atoms[rows][:, None], s.shape)
             else:
-                c = coefficients[rows][:, None, :]
                 r = rates[rows][:, None, :]
-                o = orders[rows][:, None, :]
-                factor = atoms[rows][:, None] + (c * (r / (r - s[..., None])) ** o).sum(
-                    axis=-1
-                )
+                ratio = r / (r - s[..., None])
+                if orders is not None:
+                    ratio = ratio ** orders[rows][:, None, :]
+                factor = atoms[rows][:, None] + (
+                    coefficients[rows][:, None, :] * ratio
+                ).sum(axis=-1)
             value = factor if value is None else value * factor
         return value
 
@@ -1001,16 +1012,18 @@ class EvalPlan:
     so any executor (in-process, process pool, asyncio) can run it:
     the worker rebuilds the models, which recompute their component
     transforms deterministically, so the answers are bit-identical
-    wherever the plan executes.  All models of one plan share a factor
-    signature (plans are compiled per signature group, see
-    :func:`compile_eval_plans`), which lets the execution drive one
+    wherever the plan executes.  All models of one ``"inversion"`` plan
+    share a factor signature (plans are compiled per signature group,
+    see :func:`compile_eval_plans`), which lets the execution drive one
     stacked lockstep search for the whole plan.
 
-    ``indices`` maps each model back to its position in the batch the
-    plan was compiled from.
+    ``probabilities`` holds one quantile level per model: models asking
+    for different levels share a plan, and each lockstep search runs to
+    its own level.  ``indices`` maps each model back to its position in
+    the batch the plan was compiled from.
     """
 
-    probability: float
+    probabilities: Tuple[float, ...]
     method: str
     indices: Tuple[int, ...]
     model_params: Tuple[Dict[str, float], ...]
@@ -1087,7 +1100,7 @@ def _signature_key(params: ModelParams):
 
 def compile_eval_plans(
     models: Sequence[Union["PingTimeModel", ModelParams]],
-    probability: float = DEFAULT_QUANTILE,
+    probability: Union[float, Sequence[float]] = DEFAULT_QUANTILE,
     method: str = "inversion",
     chunk_size: Optional[int] = None,
 ) -> List[EvalPlan]:
@@ -1097,19 +1110,28 @@ def compile_eval_plans(
     parameter mappings — compilation never builds a model or a
     transform, so the planning phase stays cheap and the expensive work
     (root finding, lockstep searches) lands in whatever process executes
-    the plan.  For the ``"inversion"`` method the batch is partitioned
-    into stack-compatible signature groups (first-appearance order) and
-    each group is cut into chunks; other methods are evaluated per
-    model, so they are chunked in batch order.
+    the plan.  ``probability`` is one quantile level for the whole batch
+    or a sequence with one level per model; the level never splits a
+    plan.  For the ``"inversion"`` method the batch is partitioned into
+    stack-compatible signature groups (first-appearance order) and each
+    group is cut into chunks; other methods are evaluated per model, so
+    they are chunked in batch order.
 
     Each chunk holds ``chunk_size`` models, :data:`DEFAULT_PLAN_CHUNK`
-    (read at call time) when not given.  Chunk size never changes an
-    answer — per-transform lockstep searches are independent of which
-    other models share their rounds — so executing the plans in any
-    order, on any executor, yields floats identical to
+    (read at call time) when not given.  Neither chunk size nor the
+    levels of the other models change an answer — per-transform
+    lockstep searches are independent of which other searches share
+    their rounds — so executing the plans in any order, on any
+    executor, yields floats identical to
     ``model.rtt_quantile(probability, method=...)`` per model.
     """
-    if not 0.0 < probability < 1.0:
+    if np.isscalar(probability):
+        levels = [float(probability)] * len(models)
+    else:
+        levels = [float(p) for p in probability]
+        if len(levels) != len(models):
+            raise ParameterError("probability must give one level per model")
+    if not all(0.0 < p < 1.0 for p in levels):
         raise ParameterError("probability must lie in (0, 1)")
     if method not in QUANTILE_METHODS:
         raise ParameterError(
@@ -1133,7 +1155,7 @@ def compile_eval_plans(
             chunk = indices[start : start + size]
             plans.append(
                 EvalPlan(
-                    probability=float(probability),
+                    probabilities=tuple(levels[i] for i in chunk),
                     method=method,
                     indices=tuple(chunk),
                     model_params=tuple(params_list[i] for i in chunk),
@@ -1147,12 +1169,14 @@ def execute_plan(
 ) -> PlanResult:
     """Execute one plan: the stateless kernel run by every executor.
 
-    Rebuilds the plan's models from their parameters and runs one
-    stacked lockstep search per factor-signature group (normally one —
-    plans are compiled per group; the re-grouping is defensive), or the
-    per-model fallback for methods without a batch formulation.  Callers
-    holding the originating live models may pass them via ``models`` to
-    skip the rebuild — an in-process optimisation only: rebuilt models
+    Rebuilds the plan's models from their parameters, solves their
+    D/E_K/1 roots together (one kernel call per Erlang order) and runs
+    one stacked lockstep search per factor-signature group (normally
+    one — plans are compiled per group; the re-grouping is defensive),
+    each search to its model's own quantile level, or the per-model
+    fallback for methods without a batch formulation.  Callers holding
+    the originating live models may pass them via ``models`` to skip
+    the rebuild — an in-process optimisation only: rebuilt models
     produce the very same floats, which is what makes the plan
     executor-agnostic.
     """
@@ -1164,6 +1188,11 @@ def execute_plan(
             raise ParameterError(
                 "models must match the plan's model count when provided"
             )
+    # One root-kernel call per Erlang order for the whole plan; the
+    # kernel is elementwise, so each model keeps the roots it solves alone.
+    DEKOneQueue.solve_roots(
+        m._burst_queue for m in models if isinstance(m, PingTimeModel)
+    )
     values: List[Optional[float]] = [None] * len(models)
     stacked_calls = 0
     if plan.method == "inversion":
@@ -1172,7 +1201,7 @@ def execute_plan(
             stack = QueueingMgfStack(group)
             queueing = quantiles_from_mgfs(
                 [m.queueing_mgf for m in group],
-                plan.probability,
+                [plan.probabilities[i] for i in indices],
                 scale_hints=stack.scale_hints(),
                 atoms_at_zero=stack.atoms_at_zero(),
                 stack_eval=stack,
@@ -1181,7 +1210,10 @@ def execute_plan(
                 values[index] = model.deterministic_delay_s + value
             stacked_calls += stack.array_calls
     else:
-        values = [m.rtt_quantile(plan.probability, method=plan.method) for m in models]
+        values = [
+            m.rtt_quantile(p, method=plan.method)
+            for m, p in zip(models, plan.probabilities)
+        ]
     return PlanResult(
         indices=plan.indices,
         values=tuple(float(v) for v in values),  # type: ignore[arg-type]

@@ -14,8 +14,8 @@ preset catalogue).  :class:`Fleet` is the entry point for that workload:
 * :meth:`Fleet.serve` answers a whole batch in one pass: requests are
   sharded by :meth:`Scenario.cache_key` onto internally-managed engines,
   answered from a **shared bounded LRU cache** when possible, and the
-  misses of every (probability, method) group are evaluated together
-  through the stacked cross-model inverter
+  misses of every method, whatever their quantile levels, are evaluated
+  together through the stacked cross-model inverter
   (:class:`~repro.core.rtt.QueueingMgfStack` driving
   :func:`~repro.core.inversion.quantiles_from_mgfs`), so a heterogeneous
   multi-scenario batch costs one joint array evaluation per search
@@ -24,10 +24,10 @@ preset catalogue).  :class:`Fleet` is the entry point for that workload:
 * serving is split into three explicit phases — **plan** (compile the
   batch's cache misses into picklable, self-contained
   :class:`~repro.core.rtt.EvalPlan` units, one chunk per
-  factor-signature group), **execute** (run the plans on any
-  :class:`~repro.executors.Executor` — in-process by default, or a
-  :class:`~repro.executors.ParallelExecutor` process pool via
-  ``serve(..., executor=...)``) and **assemble** (merge the partial
+  factor-signature group across quantile levels), **execute** (run the
+  plans on any :class:`~repro.executors.Executor` — in-process by
+  default, or a :class:`~repro.executors.ParallelExecutor` process pool
+  via ``serve(..., executor=...)``) and **assemble** (merge the partial
   results back through the shared cache, folding each plan's own
   counters into :class:`FleetStats`) — with floats bit-identical for
   every executor and worker count;
@@ -767,10 +767,10 @@ class Fleet:
 
         A thin driver over the three serving phases: the batch is
         **planned** (requests resolved, sharded by scenario key, probed
-        against the shared cache; the distinct misses of each
-        (probability, method) group compiled into picklable
-        :class:`~repro.core.rtt.EvalPlan` units, one chunk per
-        factor-signature group), the plans are **executed** — in-process
+        against the shared cache; the distinct misses of each method
+        compiled into picklable :class:`~repro.core.rtt.EvalPlan` units,
+        one chunk per factor-signature group across quantile levels),
+        the plans are **executed** — in-process
         when ``executor`` is omitted, or on any
         :class:`~repro.executors.Executor` such as a
         :class:`~repro.executors.ParallelExecutor` process pool — and
@@ -846,19 +846,21 @@ class Fleet:
             elif key not in misses:
                 misses[key] = (item.scenario, item.num_gamers)
 
-        # Compile the misses of each (probability, method) group into
-        # self-contained plans: parameters only, no live models.
-        groups: "OrderedDict[Tuple[float, str], List[_CacheKey]]" = OrderedDict()
+        # Compile the misses of each method into self-contained plans:
+        # parameters only, no live models.  Quantile levels do not split
+        # a plan; each model carries its own.
+        groups: "OrderedDict[str, List[_CacheKey]]" = OrderedDict()
         for key in misses:
-            groups.setdefault((key[2], key[3]), []).append(key)
+            groups.setdefault(key[3], []).append(key)
         eval_plans: List[EvalPlan] = []
         plan_keys: List[List[_CacheKey]] = []
-        for (probability, method), keys in groups.items():
+        for method, keys in groups.items():
             params = [
                 {**misses[key][0].model_kwargs(), "num_gamers": misses[key][1]}
                 for key in keys
             ]
-            for plan in compile_eval_plans(params, probability, method=method):
+            levels = [key[2] for key in keys]
+            for plan in compile_eval_plans(params, levels, method=method):
                 eval_plans.append(plan)
                 plan_keys.append([keys[i] for i in plan.indices])
         return _BatchPlan(

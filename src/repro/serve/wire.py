@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 #: Protocol version; bumped on any frame-layout or payload change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: The frame magic ("FPS wire").
 MAGIC = b"FPSW"

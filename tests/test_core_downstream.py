@@ -5,42 +5,97 @@ import cmath
 import numpy as np
 import pytest
 
-from repro.core import DEKOneQueue, PacketPositionDelay, solve_all_roots, solve_root
+from oracles import fixed_point_root
+from repro.core import DEKOneQueue, PacketPositionDelay, solve_root
 from repro.errors import ParameterError, StabilityError
+
+#: Erlang orders the root kernel is checked at.
+ORDERS = (1, 2, 5, 9, 12, 20)
+
+#: Loads from the near-empty to the near-saturated queue.
+LOADS = np.concatenate([np.geomspace(1e-4, 0.5, 25), np.linspace(0.5, 0.999, 25)])
+
+
+def residual(roots, load, order):
+    """``|z - exp((z-1)/load + 2*pi*i*k/K)|`` per root of eq. (26)."""
+    phases = 2j * np.pi * np.arange(order) / order
+    return np.abs(roots - np.exp((roots - 1.0) / load + phases))
 
 
 class TestRoots:
     def test_root_solves_fixed_point_equation(self):
         load, order = 0.6, 9
-        for branch in range(order):
-            zeta = solve_root(load, order, branch)
+        (roots,) = solve_root([load], order)
+        for branch, zeta in enumerate(roots):
             rhs = cmath.exp((zeta - 1.0) / load + 2j * cmath.pi * branch / order)
             assert abs(zeta - rhs) < 1e-12
+        # The closed form leaves an eq. (26) residual at rounding level.
+        for order in ORDERS:
+            for load, roots in zip(LOADS, solve_root(LOADS, order)):
+                assert residual(roots, load, order).max() <= 1e-15
 
     def test_roots_lie_in_unit_disc(self):
-        for load in (0.1, 0.5, 0.9):
-            for zeta in solve_all_roots(load, 12):
-                assert abs(zeta) < 1.0
+        for order in ORDERS:
+            for roots in solve_root(LOADS, order):
+                assert (np.abs(roots) < 1.0).all()
 
     def test_principal_root_is_real_and_largest(self):
-        roots = solve_all_roots(0.7, 9)
+        (roots,) = solve_root([0.7], 9)
         principal = roots[0]
         assert abs(principal.imag) < 1e-12
         assert all(abs(z) <= abs(principal) + 1e-12 for z in roots)
 
     def test_roots_are_distinct(self):
-        roots = solve_all_roots(0.6, 15)
+        (roots,) = solve_root([0.6], 15)
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
                 assert abs(roots[i] - roots[j]) > 1e-10
 
     def test_unstable_load_rejected(self):
         with pytest.raises(StabilityError):
-            solve_root(1.0, 5, 0)
+            solve_root([1.0], 5)
+        with pytest.raises(StabilityError):
+            solve_root([0.5, 0.0], 5)
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ParameterError):
-            solve_root(0.5, 0, 0)
+            solve_root([0.5], 0)
+
+
+class TestRootKernel:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_each_row_is_bitwise_a_batch_of_one(self, order):
+        rng = np.random.default_rng(order)
+        for size in (1, 2, 7, 33):
+            loads = rng.uniform(1e-3, 0.999, size)
+            batch = solve_root(loads, order)
+            assert batch.shape == (size, order)
+            for i in range(size):
+                alone = solve_root(loads[i : i + 1], order)[0]
+                assert batch[i].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_roots_match_the_fixed_point_oracle(self, order):
+        for load, roots in zip(LOADS, solve_root(LOADS, order)):
+            for branch, zeta in enumerate(roots):
+                expected = fixed_point_root(load, order, branch)
+                if expected == 0.0:
+                    # exp(-1/load) underflows: both sides are exactly zero.
+                    assert zeta == 0.0
+                else:
+                    assert abs(zeta - expected) <= 1e-12 * abs(expected)
+
+    def test_queues_solved_together_keep_their_own_roots(self):
+        queues = [
+            DEKOneQueue(order=order, mean_service_s=load * 0.05, interval_s=0.05)
+            for order in (2, 9, 9, 20)
+            for load in (0.05, 0.4, 0.93)
+        ]
+        DEKOneQueue.solve_roots(queues)
+        for queue in queues:
+            alone = DEKOneQueue(queue.order, queue.mean_service_s, queue.interval_s)
+            assert queue.roots == alone.roots
+            assert queue.weights == alone.weights
 
 
 class TestDEKOneQueue:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brentq_md1_pole
 from repro.core import MD1Queue, MultiClassMG1Queue, PeriodicSourcesQueue, TrafficClass
 from repro.errors import ParameterError, StabilityError
 
@@ -87,6 +88,14 @@ class TestMD1Queue:
         lam, d = paper_upstream.arrival_rate, paper_upstream.service_time_s
         assert gamma == pytest.approx(lam * math.expm1(gamma * d), rel=1e-9)
         assert gamma > 0.0
+
+    @pytest.mark.parametrize(
+        "load", np.concatenate([np.geomspace(1e-6, 0.5, 30), np.linspace(0.5, 0.999, 30)])
+    )
+    def test_closed_form_pole_matches_the_brentq_oracle(self, load):
+        queue = MD1Queue(arrival_rate=load / 1.28e-4, packet_bits=640.0, rate_bps=5e6)
+        expected = brentq_md1_pole(queue)
+        assert abs(queue.dominant_pole - expected) <= 1e-12 * expected
 
     def test_exact_mgf_has_unit_value_at_zero(self, paper_upstream):
         assert paper_upstream.mgf_exact(0.0) == 1.0

@@ -278,7 +278,7 @@ class TestParallelExecutor:
 
     def test_worker_errors_propagate(self):
         bad = EvalPlan(
-            probability=PROBABILITY,
+            probabilities=(PROBABILITY,),
             method="inversion",
             indices=(0,),
             model_params=(

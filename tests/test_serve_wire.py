@@ -137,6 +137,15 @@ class TestMalformedFrames:
         with pytest.raises(WireFormatError, match="version"):
             wire.decode_frame(_header(version=wire.PROTOCOL_VERSION + 1))
 
+    def test_version_1_plan_frame_is_rejected(self, preset_plans):
+        # Version 1 plans carried one quantile level per plan, not one per
+        # model; a worker must refuse them rather than run a mis-shaped plan.
+        assert wire.PROTOCOL_VERSION == 2
+        frame = wire.encode_plan(preset_plans["paper-dsl"])
+        old = frame[:4] + struct.pack(">H", 1) + frame[6:]
+        with pytest.raises(WireFormatError, match="version 1"):
+            wire.decode_frame(old)
+
     def test_unknown_kind(self):
         with pytest.raises(WireFormatError, match="kind"):
             wire.decode_frame(_header(kind=42))
